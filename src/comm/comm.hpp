@@ -40,13 +40,28 @@ namespace msa::comm {
 /// Element-wise combine operations for reductions.
 enum class ReduceOp { Sum, Max, Min, Prod };
 
+/// Element-wise reduction kernel: dst[i] = dst[i] (op) src[i] for i < n.
+/// Every collective's combine step goes through here.  The switch runs once
+/// per call, so each case is a plain loop the compiler can vectorise.
 template <typename T>
-[[nodiscard]] T apply_reduce(ReduceOp op, T a, T b) {
+void reduce_into(ReduceOp op, T* dst, const T* src, std::size_t n) {
   switch (op) {
-    case ReduceOp::Sum: return a + b;
-    case ReduceOp::Max: return a > b ? a : b;
-    case ReduceOp::Min: return a < b ? a : b;
-    case ReduceOp::Prod: return a * b;
+    case ReduceOp::Sum:
+      for (std::size_t i = 0; i < n; ++i) dst[i] = dst[i] + src[i];
+      return;
+    case ReduceOp::Max:
+      for (std::size_t i = 0; i < n; ++i) {
+        dst[i] = dst[i] > src[i] ? dst[i] : src[i];
+      }
+      return;
+    case ReduceOp::Min:
+      for (std::size_t i = 0; i < n; ++i) {
+        dst[i] = dst[i] < src[i] ? dst[i] : src[i];
+      }
+      return;
+    case ReduceOp::Prod:
+      for (std::size_t i = 0; i < n; ++i) dst[i] = dst[i] * src[i];
+      return;
   }
   throw std::invalid_argument("unknown reduce op");
 }
@@ -385,9 +400,7 @@ class Comm {
     // Children first (deepest subtrees), then send partial to parent.
     for (int child : children_of(vrank)) {
       recv_internal(std::span<T>(incoming), actual_rank(child, root), tag);
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        data[i] = apply_reduce(op, data[i], incoming[i]);
-      }
+      reduce_into(op, data.data(), incoming.data(), data.size());
     }
     if (vrank != 0) {
       send(std::span<const T>(data.data(), data.size()),
@@ -569,9 +582,7 @@ class Comm {
       send(std::span<const T>(out_chunk.data(), out_chunk.size()), right, tag);
       std::span<T> in_buf(incoming.data(), chunk);
       recv_internal(in_buf, left, tag);
-      for (std::size_t i = 0; i < chunk; ++i) {
-        in_chunk[i] = apply_reduce(op, in_chunk[i], in_buf[i]);
-      }
+      reduce_into(op, in_chunk.data(), in_buf.data(), chunk);
     }
     auto mine = chunk_span(rank());
     return std::vector<T>(mine.begin(), mine.end());
@@ -976,9 +987,7 @@ void Comm::ring_allreduce(std::span<T> data, ReduceOp op) {
     send(std::span<const T>(out_chunk.data(), out_chunk.size()), right, tag);
     std::span<T> in_buf(incoming.data(), in_chunk.size());
     recv_internal(in_buf, left, tag);
-    for (std::size_t i = 0; i < in_chunk.size(); ++i) {
-      in_chunk[i] = apply_reduce(op, in_chunk[i], in_buf[i]);
-    }
+    reduce_into(op, in_chunk.data(), in_buf.data(), in_chunk.size());
   }
   // Phase 2: allgather of the reduced chunks.
   for (int step = 0; step < P - 1; ++step) {
@@ -1018,9 +1027,7 @@ void Comm::rabenseifner_allreduce(std::span<T> data, ReduceOp op) {
     const std::size_t keep_hi = keep_low ? mid : hi;
     std::span<T> in_buf(incoming.data(), keep_hi - keep_lo);
     recv_internal(in_buf, partner, tag);
-    for (std::size_t i = 0; i < in_buf.size(); ++i) {
-      data[keep_lo + i] = apply_reduce(op, data[keep_lo + i], in_buf[i]);
-    }
+    reduce_into(op, data.data() + keep_lo, in_buf.data(), in_buf.size());
     lo = keep_lo;
     hi = keep_hi;
   }
@@ -1051,9 +1058,7 @@ void Comm::gce_allreduce(std::span<T> data, ReduceOp op) {
     if (!env.payload.empty()) {
       std::memcpy(incoming.data(), env.payload.data(), env.payload.size());
     }
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      data[i] = apply_reduce(op, data[i], incoming[i]);
-    }
+    reduce_into(op, data.data(), incoming.data(), data.size());
   }
   if (vrank != 0) {
     send_bytes(as_bytes(std::span<const T>(data.data(), data.size())),

@@ -39,27 +39,25 @@ void bucketed_allreduce(comm::Comm& comm, const std::vector<nn::Tensor*>& grads,
 
   const float inv_world = 1.0f / static_cast<float>(comm.size());
 
+  std::vector<Half> half;  // fp16 scratch, reused across buckets
+
   auto flush = [&] {
     if (bucket.empty()) return;
     if (options.fp16_compression) {
-      std::vector<Half> half(bucket.size());
-      for (std::size_t i = 0; i < bucket.size(); ++i) half[i] = Half(bucket[i]);
+      half.resize(bucket.size());
+      encode_half(bucket, half);
       comm.allreduce(std::span<Half>(half), comm::ReduceOp::Sum,
                      options.algorithm);
-      for (std::size_t i = 0; i < bucket.size(); ++i) {
-        bucket[i] = half[i].to_float();
-      }
+      decode_half(half, inv_world, bucket);
     } else {
       comm.allreduce(std::span<float>(bucket), comm::ReduceOp::Sum,
                      options.algorithm);
+      for (float& g : bucket) g *= inv_world;
     }
     // Scatter the averaged values back into the member tensors.
     std::size_t pos = 0;
     for (const Chunk& c : members) {
-      float* dst = c.tensor->data() + c.offset;
-      for (std::size_t i = 0; i < c.count; ++i) {
-        dst[i] = bucket[pos + i] * inv_world;
-      }
+      std::copy_n(bucket.data() + pos, c.count, c.tensor->data() + c.offset);
       pos += c.count;
     }
     bucket.clear();
@@ -103,12 +101,10 @@ void allreduce_gradients(comm::Comm& comm, nn::ParamStore& store,
         slab.subspan(offset, std::min(bucket_elems, slab.size() - offset));
     if (options.fp16_compression) {
       half.resize(range.size());
-      for (std::size_t i = 0; i < range.size(); ++i) half[i] = Half(range[i]);
+      encode_half(range, half);
       comm.allreduce(std::span<Half>(half), comm::ReduceOp::Sum,
                      options.algorithm);
-      for (std::size_t i = 0; i < range.size(); ++i) {
-        range[i] = half[i].to_float() * inv_world;
-      }
+      decode_half(half, inv_world, range);
     } else {
       comm.allreduce(range, comm::ReduceOp::Sum, options.algorithm);
       for (float& g : range) g *= inv_world;

@@ -44,12 +44,10 @@ void allreduce_gradients(comm::Comm& comm, HierarchicalComms& topo,
         slab.subspan(offset, std::min(bucket_elems, slab.size() - offset));
     if (options.fp16_compression) {
       half.resize(range.size());
-      for (std::size_t i = 0; i < range.size(); ++i) half[i] = Half(range[i]);
+      encode_half(range, half);
       hierarchical_allreduce(comm, topo, std::span<Half>(half),
                              comm::ReduceOp::Sum, options.algorithm);
-      for (std::size_t i = 0; i < range.size(); ++i) {
-        range[i] = half[i].to_float() * inv_world;
-      }
+      decode_half(half, inv_world, range);
     } else {
       hierarchical_allreduce(comm, topo, range, comm::ReduceOp::Sum,
                              options.algorithm);
@@ -110,7 +108,7 @@ void OverlappedReducer::launch_bucket(std::size_t b) {
   if (options_.fp16_compression) {
     auto& h = half_[b];
     h.resize(range.size());
-    for (std::size_t i = 0; i < range.size(); ++i) h[i] = Half(range[i]);
+    encode_half(range, h);
     std::span<Half> wire(h);
     if (hier_ != nullptr) {
       comm::Comm world = comm_;
@@ -200,10 +198,7 @@ void OverlappedReducer::finish() {
     std::span<float> range =
         slab.subspan(lo, std::min(bucket_elems_, slab.size() - lo));
     if (options_.fp16_compression) {
-      const auto& h = half_[b];
-      for (std::size_t i = 0; i < range.size(); ++i) {
-        range[i] = h[i].to_float() * inv_world;
-      }
+      decode_half(half_[b], inv_world, range);
     } else {
       for (float& g : range) g *= inv_world;
     }

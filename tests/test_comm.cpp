@@ -7,19 +7,25 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
+#include <type_traits>
 #include <vector>
 
 #include "comm/runtime.hpp"
+#include "dist/compression.hpp"
 
 namespace {
 
 using msa::comm::Comm;
+using msa::comm::reduce_into;
 using msa::comm::ReduceOp;
 using msa::comm::Runtime;
 using msa::simnet::CollectiveAlgorithm;
 using msa::simnet::ComputeProfile;
 using msa::simnet::Machine;
+using msa::dist::Half;
 using msa::simnet::MachineConfig;
 
 MachineConfig test_config() {
@@ -181,6 +187,105 @@ TEST_P(CommReduceOpTest, AllOpsCorrect) {
 INSTANTIATE_TEST_SUITE_P(Ops, CommReduceOpTest,
                          ::testing::Values(ReduceOp::Sum, ReduceOp::Max,
                                            ReduceOp::Min, ReduceOp::Prod));
+
+// ---- reduce_into: the element-wise kernel under every collective ----------
+
+constexpr ReduceOp kAllOps[] = {ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min,
+                                ReduceOp::Prod};
+
+/// Small nonzero values (|v| <= 2.375 or |v| <= 3) so products of two stay
+/// exact in every type and max/min never tie between +0 and -0.
+template <typename T>
+T sample(int k) {
+  const int v = k % 7 - 3;
+  if constexpr (std::is_same_v<T, Half>) {
+    return Half(0.75f * static_cast<float>(v) + 0.125f);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return static_cast<T>(0.75 * v + 0.125);
+  } else {
+    return static_cast<T>(v);
+  }
+}
+
+/// One element of the fold, spelled out independently of reduce_into.
+template <typename T>
+T fold(ReduceOp op, T a, T b) {
+  if constexpr (std::is_same_v<T, Half>) {
+    const float x = a.to_float();
+    const float y = b.to_float();
+    switch (op) {
+      case ReduceOp::Sum: return Half(x + y);
+      case ReduceOp::Max: return x >= y ? a : b;
+      case ReduceOp::Min: return x <= y ? a : b;
+      case ReduceOp::Prod: return Half(x * y);
+    }
+  } else {
+    switch (op) {
+      case ReduceOp::Sum: return a + b;
+      case ReduceOp::Max: return std::max(a, b);
+      case ReduceOp::Min: return std::min(a, b);
+      case ReduceOp::Prod: return a * b;
+    }
+  }
+  return a;
+}
+
+template <typename T>
+bool same_bits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+template <typename T>
+class ReduceIntoTest : public ::testing::Test {};
+using ReduceTypes = ::testing::Types<float, double, int, long, Half>;
+TYPED_TEST_SUITE(ReduceIntoTest, ReduceTypes);
+
+TYPED_TEST(ReduceIntoTest, MatchesElementwiseFold) {
+  using T = TypeParam;
+  for (ReduceOp op : kAllOps) {
+    for (std::size_t n = 0; n <= 67; ++n) {
+      std::vector<T> dst(n), src(n), want(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        dst[i] = sample<T>(static_cast<int>(3 * i + 1));
+        src[i] = sample<T>(static_cast<int>(5 * i + 2));
+        want[i] = fold(op, dst[i], src[i]);
+      }
+      reduce_into(op, dst.data(), src.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(same_bits(dst[i], want[i]))
+            << "op=" << static_cast<int>(op) << " n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(Comm, HalfAllreduceBitIdenticalOnEveryRank) {
+  for (CollectiveAlgorithm alg :
+       {CollectiveAlgorithm::Ring, CollectiveAlgorithm::Rabenseifner,
+        CollectiveAlgorithm::BinomialTree}) {
+    for (int ranks : {2, 3, 4}) {
+      Runtime rt = make_runtime(ranks);
+      const std::size_t n = 1000;
+      std::vector<std::vector<std::uint16_t>> got(
+          static_cast<std::size_t>(ranks));
+      rt.run([&](Comm& comm) {
+        std::vector<Half> data(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const float v = std::sin(static_cast<float>(i) * 0.37f +
+                                   static_cast<float>(comm.rank()));
+          data[i] = Half(v * 0.01f);
+        }
+        comm.allreduce(std::span<Half>(data), ReduceOp::Sum, alg);
+        auto& mine = got[static_cast<std::size_t>(comm.rank())];
+        for (const Half& h : data) mine.push_back(h.bits);
+      });
+      for (int r = 1; r < ranks; ++r) {
+        EXPECT_EQ(got[static_cast<std::size_t>(r)], got[0])
+            << to_string(alg) << " P=" << ranks << " rank " << r;
+      }
+    }
+  }
+}
 
 TEST(Comm, BroadcastFromEveryRoot) {
   for (int root = 0; root < 5; ++root) {
