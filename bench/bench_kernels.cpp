@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the computational kernels under
 // everything else: GEMM, im2col convolution, GRU steps, the message-passing
-// collectives (real wall time), SMO iterations and annealer sweeps.
+// collectives (real wall time), the fp16 wire codec, SMO iterations and
+// annealer sweeps.
 //
 // These are host-wall-time numbers (not the simulated clock) — they justify
 // the per-step costs the examples/benches pay and catch kernel regressions.
@@ -8,6 +9,7 @@
 
 #include "comm/runtime.hpp"
 #include "data/synthetic.hpp"
+#include "dist/compression.hpp"
 #include "ml/svm.hpp"
 #include "nn/conv.hpp"
 #include "nn/gru.hpp"
@@ -89,7 +91,50 @@ void BM_AllreduceWallTime(benchmark::State& state) {
       static_cast<double>(elems) * 4 * state.iterations() / 1e6,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_AllreduceWallTime)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_AllreduceWallTime)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+
+// fp16 gradient compression round trip: pack 2^20 floats to the wire format,
+// then unpack with the 1/world averaging folded in (the reducer's hot path).
+void BM_HalfEncodeDecode(benchmark::State& state) {
+  const std::size_t elems = 1 << 20;
+  tensor::Rng rng(7);
+  std::vector<float> grads(elems);
+  for (float& g : grads) g = static_cast<float>(rng.normal()) * 1e-3f;
+  std::vector<dist::Half> wire(elems);
+  std::vector<float> out(elems);
+  for (auto _ : state) {
+    dist::encode_half(grads, wire);
+    dist::decode_half(wire, 0.25f, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  // Bytes touched per round trip: read fp32, write fp16, read fp16, write fp32.
+  state.counters["GB/s"] = benchmark::Counter(
+      static_cast<double>(elems) * 12 * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_HalfEncodeDecode);
+
+// Ring allreduce of 2^16 fp16 elements across rank threads: the wire type of
+// compressed gradient reduction, so each hop's combine runs the codec.
+void BM_AllreduceHalfWallTime(benchmark::State& state) {
+  const int ranks = static_cast<int>(state.range(0));
+  const std::size_t elems = 1 << 16;
+  simnet::MachineConfig cfg;
+  comm::Runtime rt(
+      simnet::Machine::homogeneous(ranks, 2, cfg, simnet::ComputeProfile{}));
+  for (auto _ : state) {
+    rt.run([&](comm::Comm& comm) {
+      std::vector<dist::Half> data(elems, dist::Half(1.0f));
+      comm.allreduce(std::span<dist::Half>(data), comm::ReduceOp::Sum,
+                     simnet::CollectiveAlgorithm::Ring);
+      benchmark::DoNotOptimize(data.data());
+    });
+  }
+  state.counters["MB/s"] = benchmark::Counter(
+      static_cast<double>(elems) * 2 * state.iterations() / 1e6,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_AllreduceHalfWallTime)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_SmoTraining(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
