@@ -354,9 +354,9 @@ int main(int argc, char** argv) {
             })
                     : nn::default_norm_factory();
         auto model = nn::make_resnet(4, 5, {8, 16}, 1, rng, norm);
-        dist::broadcast_parameters(comm, *model);
       nn::Sgd opt(0.05, 0.9);
       dist::DistributedTrainer trainer(comm, *model, opt);
+      dist::broadcast_parameters(comm, trainer.param_store());
       const std::size_t global_batch = 32;
       const std::size_t micro = global_batch / static_cast<std::size_t>(comm.size());
       // All ranks slice the *same* permutation so every step's global batch
@@ -396,11 +396,11 @@ int main(int argc, char** argv) {
       runtime.run([&](comm::Comm& comm) {
         tensor::Rng rng(3);
         auto model = nn::make_resnet(4, 5, {8, 16}, 1, rng);
-        dist::broadcast_parameters(comm, *model);
         nn::LargeBatchSchedule schedule(0.02, comm.size(),
                                         warmup ? 12 : 0);
         nn::Sgd opt(schedule.lr(0), 0.9);
         dist::DistributedTrainer trainer(comm, *model, opt);
+        dist::broadcast_parameters(comm, trainer.param_store());
         dist::ShardedSampler sampler(train_set.size(), comm.rank(),
                                      comm.size());
         std::size_t step = 0;

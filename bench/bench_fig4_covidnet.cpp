@@ -59,9 +59,9 @@ int main() {
     runtime.run([&](comm::Comm& comm) {
       tensor::Rng rng(5);
       auto model = nn::make_covidnet_lite(3, rng);
-      dist::broadcast_parameters(comm, *model);
       nn::Sgd opt(0.03, 0.9);
       dist::DistributedTrainer trainer(comm, *model, opt);
+      dist::broadcast_parameters(comm, trainer.param_store());
       dist::ShardedSampler sampler(train_set.size(), comm.rank(), comm.size());
       const std::size_t batch = 8;
       for (std::size_t epoch = 0; epoch < 3; ++epoch) {
@@ -103,7 +103,8 @@ int main() {
     runtime.run([&](comm::Comm& comm) {
       tensor::Rng rng(5);
       auto model = nn::make_covidnet_lite(3, rng);
-      dist::broadcast_parameters(comm, *model);
+      nn::ParamStore store(*model);
+      dist::broadcast_parameters(comm, store);
       // Numerics anchor: really classify a small shard.
       std::vector<std::size_t> rows(16);
       for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -5,6 +5,9 @@
 //
 // These are host-wall-time numbers (not the simulated clock) — they justify
 // the per-step costs the examples/benches pay and catch kernel regressions.
+// Every benchmark whose work runs on pool or rank threads sets
+// UseRealTime(), so its kIsRate counters divide by wall time, not by the
+// main thread's CPU time.
 #include <benchmark/benchmark.h>
 
 #include "comm/runtime.hpp"
@@ -35,7 +38,7 @@ void BM_Gemm(benchmark::State& state) {
           1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->UseRealTime();
 
 void BM_Conv2DForward(benchmark::State& state) {
   tensor::Rng rng(2);
@@ -46,7 +49,7 @@ void BM_Conv2DForward(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
   }
 }
-BENCHMARK(BM_Conv2DForward);
+BENCHMARK(BM_Conv2DForward)->UseRealTime();
 
 void BM_Conv2DBackward(benchmark::State& state) {
   tensor::Rng rng(3);
@@ -59,7 +62,7 @@ void BM_Conv2DBackward(benchmark::State& state) {
     benchmark::DoNotOptimize(gx.data());
   }
 }
-BENCHMARK(BM_Conv2DBackward);
+BENCHMARK(BM_Conv2DBackward)->UseRealTime();
 
 void BM_GruForwardBackward(benchmark::State& state) {
   tensor::Rng rng(4);
@@ -71,7 +74,7 @@ void BM_GruForwardBackward(benchmark::State& state) {
     benchmark::DoNotOptimize(gx.data());
   }
 }
-BENCHMARK(BM_GruForwardBackward);
+BENCHMARK(BM_GruForwardBackward)->UseRealTime();
 
 void BM_AllreduceWallTime(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
@@ -182,7 +185,7 @@ void BM_Transpose(benchmark::State& state) {
           static_cast<double>(state.iterations()) / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Transpose)->Arg(256)->Arg(1024);
+BENCHMARK(BM_Transpose)->Arg(256)->Arg(1024)->UseRealTime();
 
 void BM_Im2Col(benchmark::State& state) {
   tensor::Rng rng(11);
@@ -193,7 +196,7 @@ void BM_Im2Col(benchmark::State& state) {
     benchmark::DoNotOptimize(cols.data());
   }
 }
-BENCHMARK(BM_Im2Col);
+BENCHMARK(BM_Im2Col)->UseRealTime();
 
 }  // namespace
 

@@ -16,7 +16,10 @@ BUILD=${BUILD_DIR:-build-asan}
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMSA_SANITIZE=ON \
   -DMSA_OBS=ON >/dev/null
-cmake --build "$BUILD" -j --target msa_tests >/dev/null
+# The example smoke runs (ctest -L examples) are part of tier-1: build them
+# too, so they run under the sanitizers as well.
+cmake --build "$BUILD" -j --target msa_tests quickstart remote_sensing \
+  covid_xray pipeline_parallel >/dev/null
 
 # halt_on_error so a sanitizer report fails the run rather than scrolling by.
 export ASAN_OPTIONS=${ASAN_OPTIONS:-halt_on_error=1:detect_leaks=1}

@@ -57,9 +57,9 @@ int main() {
     runtime.run([&](comm::Comm& comm) {
       tensor::Rng rng(5);
       auto model = nn::make_covidnet_lite(3, rng);
-      dist::broadcast_parameters(comm, *model);
       nn::Sgd opt(0.03, 0.9);
       dist::DistributedTrainer trainer(comm, *model, opt);
+      dist::broadcast_parameters(comm, trainer.param_store());
       dist::ShardedSampler sampler(train_set.size(), comm.rank(), comm.size());
       const std::size_t batch = 8;
       for (std::size_t epoch = 0; epoch < 4; ++epoch) {

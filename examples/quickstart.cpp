@@ -36,10 +36,10 @@ int main() {
   runtime.run([&](comm::Comm& comm) {
     tensor::Rng rng(1);  // same seed -> identical initial replicas
     auto model = nn::make_mlp(4 * 8 * 8, {64}, 4, rng);
-    dist::broadcast_parameters(comm, *model);
 
     nn::Sgd opt(0.02, 0.9);
     dist::DistributedTrainer trainer(comm, *model, opt);
+    dist::broadcast_parameters(comm, trainer.param_store());
     dist::ShardedSampler sampler(dataset.size(), comm.rank(), comm.size());
 
     const std::size_t batch = 8;

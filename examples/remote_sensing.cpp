@@ -45,7 +45,6 @@ int main(int argc, char** argv) {
   runtime.run([&](comm::Comm& comm) {
     tensor::Rng rng(3);
     auto model = nn::make_resnet(dcfg.bands, dcfg.classes, {8, 16}, 1, rng);
-    dist::broadcast_parameters(comm, *model);
     if (comm.rank() == 0) {
       std::printf("model parameters: %zu\n", nn::parameter_count(*model));
     }
@@ -56,6 +55,7 @@ int main(int argc, char** argv) {
     dist::AllreduceOptions aropts;
     aropts.fp16_compression = true;  // Horovod-style compression
     dist::DistributedTrainer trainer(comm, *model, opt, aropts);
+    dist::broadcast_parameters(comm, trainer.param_store());
     dist::ShardedSampler sampler(train_set.size(), comm.rank(), comm.size());
 
     std::size_t step = 0;

@@ -82,35 +82,27 @@ Envelope Comm::recv_envelope(int src, int tag) {
     RecvWaiter(const Comm* c, int s) : comm(c), src(s) {}
     bool abandoned() override { return comm->recv_abandoned(src); }
   } waiter(this, src);
-  const auto& opts = state_->failure_opts;
-  // An installed BackstopPolicy overrides the fixed backstop with a per-peer
-  // adaptive timeout (EWMA of observed waits with backoff — see failure.hpp).
-  // Policies only see real wall-clock time; any-source recvs fall back to the
-  // fixed backstop because there is no single peer to adapt to.
-  BackstopPolicy* policy =
-      (backstop_policy_ != nullptr && src != kAnySource) ? backstop_policy_
-                                                         : nullptr;
-  const int peer_world =
-      policy != nullptr ? members_[static_cast<std::size_t>(src)] : -1;
-  const double backstop =
-      policy != nullptr
-          ? policy->recv_backstop_s(peer_world)
-          : (wall_backstop_s_ >= 0.0 ? wall_backstop_s_ : opts.wall_backstop_s);
-  const int retries =
-      policy != nullptr
-          ? policy->recv_retries(peer_world)
-          : (backstop_retries_ >= 0 ? backstop_retries_ : opts.backstop_retries);
-  const auto real_begin = policy != nullptr
-                              ? std::chrono::steady_clock::now()
-                              : std::chrono::steady_clock::time_point{};
+  // The handle's BackstopPolicy sets the real-wall-clock backstop (a null
+  // policy waits for a liveness event).  Any-source recvs ask it with
+  // src_world -1: there is no single peer to adapt to or report on.
+  double backstop = 0.0;
+  int retries = 0;
+  int peer_world = -1;
+  std::chrono::steady_clock::time_point real_begin{};
+  if (backstop_policy_ != nullptr) {
+    if (src != kAnySource) peer_world = members_[static_cast<std::size_t>(src)];
+    backstop = backstop_policy_->recv_backstop_s(peer_world);
+    retries = backstop_policy_->recv_retries(peer_world);
+    if (peer_world >= 0) real_begin = std::chrono::steady_clock::now();
+  }
   auto res = state_->mailboxes[static_cast<std::size_t>(world_rank())].get(
       comm_id_, src, tag, &waiter, backstop, retries);
-  if (policy != nullptr) {
+  if (peer_world >= 0) {
     const double waited =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       real_begin)
             .count();
-    policy->observe_recv(peer_world, waited, res.late_waits);
+    backstop_policy_->observe_recv(peer_world, waited, res.late_waits);
   }
   if (res.late_waits > 0) {
     state_->straggler_events[static_cast<std::size_t>(world_rank())]
@@ -127,7 +119,7 @@ Envelope Comm::recv_envelope(int src, int tag) {
     state_->mark_abandoned(comm_id_, world_rank());
     // Model the detection latency a real system pays before acting on
     // silence, then surface the failed set for recovery.
-    clock().advance(opts.detection_timeout_s);
+    clock().advance(kDetectionTimeoutS);
     std::vector<int> failed = state_->failed_snapshot();
     if (failed.empty()) {
       // No Failed rank anywhere: the wait was orphaned by clean Exits or an
@@ -147,7 +139,7 @@ Envelope Comm::recv_envelope(int src, int tag) {
   if (res.status == Mailbox::Status::TimedOut) {
     // A final backstop expiry also abandons the collective mid-flight.
     state_->mark_abandoned(comm_id_, world_rank());
-    clock().advance(opts.detection_timeout_s);
+    clock().advance(kDetectionTimeoutS);
     throw CommTimeoutError(
         "recv: wall-clock backstop expired with no liveness verdict (rank " +
         std::to_string(world_rank()) + " waiting on comm " +
@@ -262,18 +254,17 @@ Comm Comm::split(int color, int key) {
       state_->child_comm_id(comm_id_, split_seq_++, color);
   Comm child(state_, new_id, std::move(members), my_new_rank);
   child.ack_epoch_ = ack_epoch_;
-  child.wall_backstop_s_ = wall_backstop_s_;
-  child.backstop_retries_ = backstop_retries_;
   child.backstop_policy_ = backstop_policy_;
   return child;
 }
 
 void Comm::rejoin() {
-  const auto& opts = state_->failure_opts;
-  const double backstop =
-      wall_backstop_s_ >= 0.0 ? wall_backstop_s_ : opts.wall_backstop_s;
+  // No single peer to wait on: the policy answers for src_world -1.
+  const double backstop = backstop_policy_ != nullptr
+                              ? backstop_policy_->recv_backstop_s(-1)
+                              : 0.0;
   const int retries =
-      backstop_retries_ >= 0 ? backstop_retries_ : opts.backstop_retries;
+      backstop_policy_ != nullptr ? backstop_policy_->recv_retries(-1) : 0;
 
   std::unique_lock lock(state_->join_mutex);
   auto& js = state_->joins[comm_id_];
@@ -296,7 +287,7 @@ void Comm::rejoin() {
   auto abandon = [&](std::vector<int> gone) {
     js.arrivals.erase(world_rank());
     lock.unlock();
-    clock().advance(opts.detection_timeout_s);
+    clock().advance(kDetectionTimeoutS);
     throw RankFailedError(std::move(gone), "rejoin");
   };
 
@@ -338,7 +329,7 @@ void Comm::rejoin() {
         if (expiries > retries) {
           js.arrivals.erase(world_rank());
           lock.unlock();
-          clock().advance(opts.detection_timeout_s);
+          clock().advance(kDetectionTimeoutS);
           throw CommTimeoutError(
               "rejoin: wall-clock backstop expired before all survivors "
               "arrived (rank " +
@@ -357,7 +348,7 @@ void Comm::rejoin() {
   const auto [seq, t] = js.results.at(my_gen);
   lock.unlock();
   coll_seq_ = seq;
-  clock().sync_to(t + opts.detection_timeout_s);
+  clock().sync_to(t + kDetectionTimeoutS);
 }
 
 Comm Comm::shrink(const std::vector<int>& dead_world_ranks) const {
@@ -401,8 +392,6 @@ Comm Comm::shrink(const std::vector<int>& dead_world_ranks) const {
   const std::uint64_t new_id = state_->child_comm_id(comm_id_, hash, color);
   Comm child(state_, new_id, std::move(members), my_new_rank);
   child.ack_epoch_ = ack_epoch_;
-  child.wall_backstop_s_ = wall_backstop_s_;
-  child.backstop_retries_ = backstop_retries_;
   child.backstop_policy_ = backstop_policy_;
   return child;
 }

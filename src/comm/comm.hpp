@@ -188,7 +188,6 @@ struct SharedState {
   // Fault-injection hooks; null when no plan is armed (the common case), so
   // the hot paths pay a single pointer test.
   std::shared_ptr<FaultHooks> hooks;
-  FailureOptions failure_opts;
 
   [[nodiscard]] RankState state_of(int world_rank) const {
     return static_cast<RankState>(
@@ -773,19 +772,10 @@ class Comm {
     return state_->failed_snapshot();
   }
 
-  /// Override the real-wall-clock recv backstop for this handle (seconds; 0
-  /// restores "wait for a liveness event").  @p retries extra doubled waits
-  /// tolerate transient stragglers before CommTimeoutError.
-  void set_wall_backstop(double seconds, int retries = 1) {
-    wall_backstop_s_ = seconds;
-    backstop_retries_ = retries;
-  }
-
-  /// Install an adaptive per-peer backstop policy on this handle (null
-  /// uninstalls).  When set it overrides the fixed wall backstop: recv asks
-  /// the policy per source rank and reports the real wait back to it.  The
-  /// policy must outlive the handle (and any split/shrink children, which
-  /// inherit the pointer).  Wall-clock only: simulated time is untouched.
+  /// Install the real-wall-clock backstop for recvs and rejoin on this
+  /// handle (null, the default, waits for a liveness event).  The policy
+  /// must outlive the handle and any split/shrink children, which inherit
+  /// the pointer.  Wall-clock only: simulated time is untouched.
   void set_backstop_policy(BackstopPolicy* policy) {
     backstop_policy_ = policy;
   }
@@ -952,9 +942,7 @@ class Comm {
   std::uint64_t split_seq_ = 0;
   // Failure-detection state, inherited by split()/shrink() children.
   std::uint64_t ack_epoch_ = 0;       // failure epoch this handle has accepted
-  double wall_backstop_s_ = -1.0;     // < 0: use FailureOptions default
-  int backstop_retries_ = -1;         // < 0: use FailureOptions default
-  BackstopPolicy* backstop_policy_ = nullptr;  // adaptive override (not owned)
+  BackstopPolicy* backstop_policy_ = nullptr;  // null: no backstop (not owned)
 };
 
 // ---- template implementations ----------------------------------------------

@@ -10,82 +10,8 @@
 
 namespace msa::dist {
 
-void broadcast_parameters(comm::Comm& comm, nn::Layer& model, int root) {
-  for (nn::Tensor* p : model.params()) {
-    comm.bcast(p->flat(), root);
-  }
-}
-
 void broadcast_parameters(comm::Comm& comm, nn::ParamStore& store, int root) {
   comm.bcast(store.param_span(), root);
-}
-
-namespace {
-
-/// Visits gradient tensors grouped into flat buckets of at most bucket_bytes,
-/// calling reduce_fn(flat_span) per bucket and scattering results back.
-void bucketed_allreduce(comm::Comm& comm, const std::vector<nn::Tensor*>& grads,
-                        const AllreduceOptions& options) {
-  const std::size_t bucket_elems =
-      std::max<std::size_t>(1, options.bucket_bytes / sizeof(float));
-  std::vector<float> bucket;
-  bucket.reserve(bucket_elems);
-  struct Chunk {
-    nn::Tensor* tensor;
-    std::size_t offset;  // into the tensor
-    std::size_t count;
-  };
-  std::vector<Chunk> members;
-
-  const float inv_world = 1.0f / static_cast<float>(comm.size());
-
-  std::vector<Half> half;  // fp16 scratch, reused across buckets
-
-  auto flush = [&] {
-    if (bucket.empty()) return;
-    if (options.fp16_compression) {
-      half.resize(bucket.size());
-      encode_half(bucket, half);
-      comm.allreduce(std::span<Half>(half), comm::ReduceOp::Sum,
-                     options.algorithm);
-      decode_half(half, inv_world, bucket);
-    } else {
-      comm.allreduce(std::span<float>(bucket), comm::ReduceOp::Sum,
-                     options.algorithm);
-      for (float& g : bucket) g *= inv_world;
-    }
-    // Scatter the averaged values back into the member tensors.
-    std::size_t pos = 0;
-    for (const Chunk& c : members) {
-      std::copy_n(bucket.data() + pos, c.count, c.tensor->data() + c.offset);
-      pos += c.count;
-    }
-    bucket.clear();
-    members.clear();
-  };
-
-  for (nn::Tensor* g : grads) {
-    std::size_t offset = 0;
-    while (offset < g->numel()) {
-      if (bucket.size() == bucket_elems) flush();
-      const std::size_t take =
-          std::min(g->numel() - offset, bucket_elems - bucket.size());
-      members.push_back({g, offset, take});
-      bucket.insert(bucket.end(), g->data() + offset,
-                    g->data() + offset + take);
-      offset += take;
-    }
-  }
-  flush();
-}
-
-}  // namespace
-
-void allreduce_gradients(comm::Comm& comm, nn::Layer& model,
-                         const AllreduceOptions& options) {
-  if (comm.size() == 1) return;
-  auto grads = model.grads();
-  bucketed_allreduce(comm, grads, options);
 }
 
 void allreduce_gradients(comm::Comm& comm, nn::ParamStore& store,

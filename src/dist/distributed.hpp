@@ -2,14 +2,17 @@
 // training tools such as Horovod" of paper Sec. III-A, Fig. 3 N).
 //
 // The three pillars, exactly as in Horovod:
-//   1. broadcast_parameters      — all replicas start identical (bcast from 0)
-//   2. allreduce_gradients       — average grads each step, with tensor
-//                                  fusion (bucketing) and optional fp16
-//                                  compression
+//   1. broadcast_parameters      — all replicas start identical: one bcast
+//                                  of the contiguous parameter slab
+//   2. allreduce_gradients       — average grads each step over offset
+//                                  ranges of the gradient slab (tensor
+//                                  fusion) with optional fp16 compression
 //   3. ShardedSampler            — disjoint per-rank data shards, reshuffled
 //                                  each epoch with a common seed
 // plus a DistributedTrainer that ties them to the nn:: layer stack and
 // charges simulated compute time for the roofline model of the host device.
+// Both collectives work on an nn::ParamStore: construct the trainer (or a
+// ParamStore over the model) first, then broadcast its store.
 #pragma once
 
 #include <cstdint>
@@ -44,28 +47,17 @@ struct AllreduceOptions {
   std::optional<simnet::CollectiveAlgorithm> algorithm;  ///< force algorithm
 };
 
-/// Broadcast every parameter tensor of @p model from @p root, so all
-/// replicas start from identical weights (Horovod broadcast_variables).
-void broadcast_parameters(comm::Comm& comm, nn::Layer& model, int root = 0);
-
-/// Slab path: ONE bcast of the contiguous parameter slab.
+/// Broadcast the contiguous parameter slab of @p store from @p root in ONE
+/// bcast, so all replicas start from identical weights (Horovod
+/// broadcast_variables).
 void broadcast_parameters(comm::Comm& comm, nn::ParamStore& store,
                           int root = 0);
 
-/// Sum-and-average all gradient tensors of @p model across ranks.
-/// Gradients are packed into buckets of at most bucket_bytes and allreduced
-/// bucket-by-bucket (tensor fusion), then scaled by 1/size.  This is the
-/// pack/scatter reference path for models without a ParamStore; prefer the
-/// slab overload below, which does no copies at all.
-void allreduce_gradients(comm::Comm& comm, nn::Layer& model,
-                         const AllreduceOptions& options = {});
-
-/// Slab path: buckets are just offset ranges of the gradient slab, handed
+/// Sum-and-average the gradient slab of @p store across ranks.  Buckets
+/// (Horovod tensor fusion) are offset ranges of at most bucket_bytes, handed
 /// to comm.allreduce in place and averaged in place — zero per-step
 /// pack/unpack copies in the fp32 path.  fp16 compression converts each
-/// range through a reused scratch buffer.  Bucket boundaries (and hence
-/// reduction order) are identical to the pack/scatter reference, so the
-/// results match bit for bit.
+/// range through a reused scratch buffer.
 void allreduce_gradients(comm::Comm& comm, nn::ParamStore& store,
                          const AllreduceOptions& options = {});
 

@@ -66,12 +66,15 @@ std::vector<int> balanced_batch_counts(const std::vector<double>& weights,
 }
 
 AdaptiveBackstop::AdaptiveBackstop(const HealthOptions& options,
-                                   int world_size, double base_backstop_s)
+                                   int world_size, double base_backstop_s,
+                                   int base_retries)
     : options_(options),
       base_s_(base_backstop_s),
+      base_retries_(base_retries),
       peers_(static_cast<std::size_t>(world_size)) {}
 
 double AdaptiveBackstop::recv_backstop_s(int src_world) {
+  if (src_world < 0) return base_s_;
   const Peer& p = peers_[static_cast<std::size_t>(src_world)];
   double t = p.ewma_s < 0.0
                  ? base_s_
@@ -83,8 +86,8 @@ double AdaptiveBackstop::recv_backstop_s(int src_world) {
   return std::min(t, options_.backstop_max_s * 16.0);
 }
 
-int AdaptiveBackstop::recv_retries(int /*src_world*/) {
-  return options_.backstop_retries;
+int AdaptiveBackstop::recv_retries(int src_world) {
+  return src_world < 0 ? base_retries_ : options_.backstop_retries;
 }
 
 void AdaptiveBackstop::observe_recv(int src_world, double real_wait_s,

@@ -115,6 +115,10 @@ struct HealthDecision {
 /// patient the liveness machinery is with a slow peer, and never touches
 /// simulated time — trajectories with and without it are bit-identical.
 ///
+/// "No single peer" (src_world < 0: any-source recvs, Comm::rejoin) gets
+/// the fixed base — @p base_backstop_s and @p base_retries — and leaves
+/// every peer's state untouched.
+///
 /// One instance per rank thread (installed on that rank's Comm handles), so
 /// no synchronisation is needed.
 class AdaptiveBackstop final : public comm::BackstopPolicy {
@@ -122,7 +126,7 @@ class AdaptiveBackstop final : public comm::BackstopPolicy {
   /// @p base_backstop_s seeds peers with no samples yet (the fixed backstop
   /// the policy replaces); @p world_size indexes peers by world rank.
   AdaptiveBackstop(const HealthOptions& options, int world_size,
-                   double base_backstop_s);
+                   double base_backstop_s, int base_retries);
 
   [[nodiscard]] double recv_backstop_s(int src_world) override;
   [[nodiscard]] int recv_retries(int src_world) override;
@@ -139,6 +143,7 @@ class AdaptiveBackstop final : public comm::BackstopPolicy {
   };
   HealthOptions options_;
   double base_s_;
+  int base_retries_;
   std::vector<Peer> peers_;  // indexed by world rank
   std::uint64_t escalations_ = 0;
 };

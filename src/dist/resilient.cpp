@@ -136,18 +136,21 @@ ResilientTrainer::ResilientTrainer(comm::Comm& comm,
   if (!make) throw std::invalid_argument("ResilientTrainer: null factory");
   strategy_ = make(comm_);
   if (!strategy_) throw std::invalid_argument("ResilientTrainer: null strategy");
-  comm_.set_wall_backstop(options_.wall_backstop_s, options_.backstop_retries);
-  world_.set_wall_backstop(options_.wall_backstop_s, options_.backstop_retries);
   health_ = HealthMonitor(options_.health);
   grad_scale_supported_ = strategy_->set_grad_scale(1.0);
+  // One recv backstop per handle.  Rung 1 of the mitigation ladder swaps the
+  // fixed backstop for per-peer EWMA timeouts.  Installed on world_ too so
+  // shrink children inherit it.
   if (options_.health.adaptive_backstop) {
-    // Rung 1 of the mitigation ladder: per-peer EWMA timeouts replace the
-    // fixed backstop.  Installed on world_ too so shrink children inherit it.
-    adaptive_backstop_ = std::make_unique<AdaptiveBackstop>(
-        options_.health, comm_.machine().ranks(), options_.wall_backstop_s);
-    comm_.set_backstop_policy(adaptive_backstop_.get());
-    world_.set_backstop_policy(adaptive_backstop_.get());
+    backstop_ = std::make_unique<AdaptiveBackstop>(
+        options_.health, comm_.machine().ranks(), options_.wall_backstop_s,
+        options_.backstop_retries);
+  } else {
+    backstop_ = std::make_unique<comm::FixedBackstop>(
+        options_.wall_backstop_s, options_.backstop_retries);
   }
+  comm_.set_backstop_policy(backstop_.get());
+  world_.set_backstop_policy(backstop_.get());
   report_.final_world = comm_.size();
 }
 

@@ -40,6 +40,9 @@ namespace msa::dist {
 struct ResilientOptions {
   int checkpoint_interval = 10;   ///< steps between slab snapshots
   std::string checkpoint_dir;     ///< when set, rank 0 mirrors snapshots to disk
+  /// The recv backstop: a comm::FixedBackstop of these values, or the
+  /// any-source/rejoin base of the AdaptiveBackstop under
+  /// health.adaptive_backstop.
   double wall_backstop_s = 0.25;  ///< real-seconds recv backstop (0 = off)
   int backstop_retries = 2;       ///< doubled re-waits for transient stragglers
   int max_recoveries = 8;         ///< abort after this many recovery cycles
@@ -182,7 +185,7 @@ class ResilientTrainer {
   using StrategyFactory =
       std::function<std::unique_ptr<ResilientStrategy>(comm::Comm&)>;
 
-  /// Data-parallel form (legacy): wraps model/opt in DataParallelStrategy.
+  /// Data-parallel form: wraps model/opt in DataParallelStrategy.
   /// @p comm is copied: the trainer owns its communicator handle so it can
   /// swap in shrunken replacements without disturbing the caller's.
   ResilientTrainer(comm::Comm& comm, nn::Layer& model, nn::Optimizer& opt,
@@ -250,7 +253,7 @@ class ResilientTrainer {
   ResilientOptions options_;
   std::unique_ptr<ResilientStrategy> strategy_;
   HealthMonitor health_{HealthOptions{}};
-  std::unique_ptr<AdaptiveBackstop> adaptive_backstop_;
+  std::unique_ptr<comm::BackstopPolicy> backstop_;
   bool grad_scale_supported_ = false;
   Snapshot snap_;
   Snapshot prev_;  // one boundary older than snap_ (see recover())

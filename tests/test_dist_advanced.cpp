@@ -108,11 +108,12 @@ TEST(Zero, MatchesUnshardedAdam) {
     rt.run([&](Comm& comm) {
       Rng rng(7);
       auto model = msa::nn::make_mlp(9, {11}, 3, rng);
-      msa::dist::broadcast_parameters(comm, *model);
+      msa::nn::ParamStore store(*model);
+      msa::dist::broadcast_parameters(comm, store);
       msa::nn::Adam plain_opt(1e-2);
+      store.attach_optimizer(plain_opt);
       msa::dist::ZeroOptimizer zero_opt(
           comm, std::make_unique<msa::nn::Adam>(1e-2));
-      Rng drng(50);  // same data on all ranks per variant? No: per rank
       Rng rank_rng(50 + comm.rank());
       for (int s = 0; s < steps; ++s) {
         Tensor x = Tensor::randn({4, 9}, rank_rng);
@@ -123,10 +124,10 @@ TEST(Zero, MatchesUnshardedAdam) {
         auto res = msa::nn::softmax_cross_entropy(logits, y);
         model->backward(res.grad);
         if (variant == 0) {
-          zero_opt.step(model->params(), model->grads());
+          zero_opt.step(store);
         } else {
-          msa::dist::allreduce_gradients(comm, *model);
-          plain_opt.step(model->params(), model->grads());
+          msa::dist::allreduce_gradients(comm, store);
+          store.step(plain_opt);
         }
       }
       if (comm.rank() == 0) {
@@ -150,10 +151,11 @@ TEST(Zero, StateMemoryShrinksWithRanks) {
     rt.run([&](Comm& comm) {
       Rng rng(3);
       auto model = msa::nn::make_mlp(16, {16}, 4, rng);
+      msa::nn::ParamStore store(*model);
       msa::dist::ZeroOptimizer opt(comm,
                                    std::make_unique<msa::nn::Adam>(1e-3));
-      model->zero_grads();
-      opt.step(model->params(), model->grads());
+      store.zero_grads();
+      opt.step(store);
       EXPECT_NEAR(opt.state_memory_fraction(), 1.0 / comm.size(), 1e-6);
       EXPECT_EQ(opt.shard_elements() * static_cast<std::size_t>(comm.size()),
                 opt.padded_elements());
@@ -167,7 +169,8 @@ TEST(Zero, ReplicasStayConsistent) {
   rt.run([](Comm& comm) {
     Rng rng(5);
     auto model = msa::nn::make_mlp(7, {5}, 2, rng);
-    msa::dist::broadcast_parameters(comm, *model);
+    msa::nn::ParamStore store(*model);
+    msa::dist::broadcast_parameters(comm, store);
     msa::dist::ZeroOptimizer opt(comm, std::make_unique<msa::nn::Sgd>(0.1));
     Rng drng(60 + comm.rank());
     for (int s = 0; s < 3; ++s) {
@@ -176,7 +179,7 @@ TEST(Zero, ReplicasStayConsistent) {
       model->zero_grads();
       auto res = msa::nn::softmax_cross_entropy(model->forward(x, true), y);
       model->backward(res.grad);
-      opt.step(model->params(), model->grads());
+      opt.step(store);
       float checksum = 0.0f;
       for (auto* p : model->params()) checksum += p->sum();
       auto all = comm.allgather(std::span<const float>(&checksum, 1));

@@ -89,7 +89,8 @@ TEST(Health, AdaptiveBackstopTracksEwmaAndBacksOff) {
   opts.backstop_min_s = 0.01;
   opts.backstop_max_s = 1.0;
   opts.backstop_retries = 3;
-  AdaptiveBackstop policy(opts, /*world_size=*/4, /*base_backstop_s=*/0.25);
+  AdaptiveBackstop policy(opts, /*world_size=*/4, /*base_backstop_s=*/0.25,
+                          /*base_retries=*/2);
 
   // No samples yet: the fixed base backstop applies.
   EXPECT_DOUBLE_EQ(policy.recv_backstop_s(1), 0.25);
@@ -109,6 +110,31 @@ TEST(Health, AdaptiveBackstopTracksEwmaAndBacksOff) {
 
   // Peers are independent: rank 2's budget is untouched by rank 1's history.
   EXPECT_DOUBLE_EQ(policy.recv_backstop_s(2), 0.25);
+}
+
+TEST(Health, AdaptiveBackstopAnswersNoPeerWithFixedBase) {
+  // src_world < 0 (any-source recv, rejoin) has no peer to adapt to: the
+  // policy answers with its fixed base — ResilientOptions' retries, not
+  // health.backstop_retries — and no peer's state moves.
+  HealthOptions opts;
+  opts.backstop_min_s = 0.01;
+  opts.backstop_retries = 3;
+  AdaptiveBackstop policy(opts, /*world_size=*/4, /*base_backstop_s=*/0.25,
+                          /*base_retries=*/2);
+  for (int i = 0; i < 8; ++i) policy.observe_recv(1, 1e-4, /*late_waits=*/0);
+  policy.observe_recv(1, 1e-4, /*late_waits=*/1);
+  const double peer1 = policy.recv_backstop_s(1);
+  const std::uint64_t escalations = policy.escalations();
+
+  EXPECT_DOUBLE_EQ(policy.recv_backstop_s(-1), 0.25);
+  EXPECT_EQ(policy.recv_retries(-1), 2);
+
+  EXPECT_DOUBLE_EQ(policy.recv_backstop_s(1), peer1);
+  EXPECT_EQ(policy.recv_retries(1), 3);
+  EXPECT_EQ(policy.escalations(), escalations);
+  for (int peer : {0, 2, 3}) {
+    EXPECT_DOUBLE_EQ(policy.recv_backstop_s(peer), 0.25) << peer;
+  }
 }
 
 // ---- checkpoint integrity (MSALIB02 checksum trailer) -----------------------

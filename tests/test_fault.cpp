@@ -27,6 +27,7 @@ namespace {
 using msa::comm::AggregateRankError;
 using msa::comm::Comm;
 using msa::comm::CommTimeoutError;
+using msa::comm::FixedBackstop;
 using msa::comm::RankFailedError;
 using msa::comm::Runtime;
 using msa::dist::broadcast_parameters;
@@ -138,9 +139,10 @@ TEST(FaultComm, RecvBackstopTimesOut) {
   // rather than hang.  Both ranks block on each other; the first timeout
   // fails that rank, the other then sees RankFailedError -> aggregate.
   Runtime rt = make_runtime(2);
+  FixedBackstop fixed(0.02, /*retries=*/1);  // stateless: shared by ranks
   try {
-    rt.run([](Comm& comm) {
-      comm.set_wall_backstop(0.02, /*retries=*/1);
+    rt.run([&](Comm& comm) {
+      comm.set_backstop_policy(&fixed);
       float buf = 0.0f;
       comm.recv(std::span<float>(&buf, 1), 1 - comm.rank(), 77);
     });
@@ -152,6 +154,72 @@ TEST(FaultComm, RecvBackstopTimesOut) {
     // swallowed nothing — ordering-dependent which escapes alone.
   } catch (const RankFailedError&) {
   }
+}
+
+TEST(FaultComm, SplitAndShrinkChildrenInheritBackstop) {
+  // split() and shrink() children copy the parent's BackstopPolicy pointer:
+  // a recv from a live but silent peer on either child times out instead of
+  // hanging.  The silent peer waits on a copy of the parent taken before the
+  // policy went in, under a far longer backstop of its own, until the
+  // timeout is in (and fails the run instead of hanging if it never is).
+  // The 0.1 s + 0.2 s budget also covers split()'s own allgather.
+  FixedBackstop fixed(0.1, /*retries=*/1);
+  FixedBackstop patient(5.0, /*retries=*/0);
+  for (const bool shrink : {false, true}) {
+    Runtime rt = make_runtime(3);
+    rt.run([&](Comm& comm) {
+      Comm quiet = comm;
+      quiet.set_backstop_policy(&patient);
+      quiet.barrier();  // every rank thread is up before the short budget
+      comm.set_backstop_policy(&fixed);
+      if (shrink && comm.rank() == 2) return;  // the "dead" rank
+      Comm child = shrink ? comm.shrink({2})
+                          : comm.split(comm.rank() == 2 ? 1 : 0, comm.rank());
+      if (comm.rank() == 2) return;
+      float buf = 0.0f;
+      if (comm.rank() == 0) {
+        EXPECT_THROW(child.recv(std::span<float>(&buf, 1), 1, 77),
+                     CommTimeoutError)
+            << (shrink ? "shrink" : "split") << " child";
+        quiet.send(std::span<const float>(&buf, 1), 1, 78);
+      } else {
+        quiet.recv(std::span<float>(&buf, 1), 0, 78);
+      }
+    });
+  }
+}
+
+TEST(FaultComm, AnySourceRecvAsksPolicyForNoPeer) {
+  // The policy contract: a recv from a known source asks for (and reports
+  // back on) that source's world rank; an any-source recv asks for -1 and
+  // reports nothing.
+  struct Recording final : msa::comm::BackstopPolicy {
+    std::vector<int> asked, observed;
+    double recv_backstop_s(int src_world) override {
+      asked.push_back(src_world);
+      return 0.0;
+    }
+    int recv_retries(int /*src_world*/) override { return 0; }
+    void observe_recv(int src_world, double, int) override {
+      observed.push_back(src_world);
+    }
+  };
+  Runtime rt = make_runtime(3);
+  rt.run([](Comm& comm) {
+    if (comm.rank() != 0) {
+      const float v = 1.0f;
+      comm.send(std::span<const float>(&v, 1), 0, 5);
+      return;
+    }
+    Recording policy;
+    comm.set_backstop_policy(&policy);
+    float buf = 0.0f;
+    comm.recv(std::span<float>(&buf, 1), 2, 5);
+    comm.recv(std::span<float>(&buf, 1), msa::comm::kAnySource, 5);
+    comm.set_backstop_policy(nullptr);
+    EXPECT_EQ(policy.asked, (std::vector<int>{2, -1}));
+    EXPECT_EQ(policy.observed, (std::vector<int>{2}));
+  });
 }
 
 TEST(FaultComm, ShrinkIsDeterministicAndIdempotent) {

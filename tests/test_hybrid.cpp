@@ -279,15 +279,17 @@ TEST(Hybrid, MatchesSerialGradientAccumulationAcrossThreadCounts) {
 
 // ---- ZeRO option combinations on the slab -----------------------------------
 
-TEST(HybridZero, OptionCombosMatchFlatListPath) {
-  // The slab path under overlap / hierarchical / fp16 must agree with the
-  // plain blocking fp32 list path: overlap changes only the engine routing
-  // (bit-exact), hierarchy changes the reduction order (fp tolerance), fp16
-  // quantises the wire (half the traffic, small bounded drift).
+TEST(HybridZero, OptionCombosMatchDefaultSlabStep) {
+  // The slab step under overlap / hierarchical / fp16 must agree with the
+  // default-options (blocking, flat, fp32) slab step: overlap changes only
+  // the engine routing (bit-exact), hierarchy changes the reduction order
+  // (fp tolerance), fp16 quantises the wire (half the traffic, small
+  // bounded drift).
   constexpr int P = 4;
   Runtime rt = make_runtime(P, /*per_node=*/2);
   rt.run([&](Comm& comm) {
     auto ref_model = small_mlp();
+    ParamStore s_ref(*ref_model);
     ZeroOptimizer ref_opt(comm, std::make_unique<msa::nn::Adam>(1e-2));
 
     auto m_overlap = small_mlp();
@@ -318,7 +320,7 @@ TEST(HybridZero, OptionCombosMatchFlatListPath) {
       fill_grads(*m_overlap, seed);
       fill_grads(*m_hier, seed);
       fill_grads(*m_combo, seed);
-      ref_opt.step(ref_model->params(), ref_model->grads());
+      ref_opt.step(s_ref);
       z_overlap.step(s_overlap);
       z_hier.step(s_hier);
       z_combo.step(s_combo);

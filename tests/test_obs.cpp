@@ -138,9 +138,9 @@ TrainOutcome run_training() {
   rt.run([&](Comm& comm) {
     Rng rng(7);
     auto model = msa::nn::make_mlp(6, {10}, 3, rng);
-    msa::dist::broadcast_parameters(comm, *model);
     msa::nn::Sgd opt(0.1, 0.9);
     DistributedTrainer trainer(comm, *model, opt);
+    msa::dist::broadcast_parameters(comm, trainer.param_store());
     Rng drng(100 + comm.rank());
     std::vector<float> losses;
     for (int s = 0; s < 6; ++s) {
