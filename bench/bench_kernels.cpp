@@ -10,6 +10,8 @@
 // main thread's CPU time.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+
 #include "comm/runtime.hpp"
 #include "data/synthetic.hpp"
 #include "dist/compression.hpp"
@@ -40,29 +42,63 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->UseRealTime();
 
+// Conv2D shapes as (in_ch, out_ch, hw, B), 3x3 kernel, stride 1, pad 1:
+// 8->16 at 16x16, B=4, plus make_resnet_rs stage 0 (16->16 at 16x16) and
+// stage 2 (64->64 at 4x4) at dp_resnet's microbatch of 8.  Only stage 2
+// groups samples (16 columns per sample under a 256-column cap).
+void conv_shapes(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"in", "out", "hw", "B"});
+  b->Args({8, 16, 16, 4})->Args({16, 16, 16, 8})->Args({64, 64, 4, 8});
+}
+
+struct ConvBench {
+  explicit ConvBench(const benchmark::State& state, std::uint64_t seed)
+      : rng(seed),
+        in(static_cast<std::size_t>(state.range(0))),
+        out(static_cast<std::size_t>(state.range(1))),
+        hw(static_cast<std::size_t>(state.range(2))),
+        batch(static_cast<std::size_t>(state.range(3))),
+        conv(in, out, 3, 1, 1, rng),
+        x(tensor::Tensor::randn({batch, in, hw, hw}, rng)) {}
+
+  // Forward GEMM flops of one call.
+  [[nodiscard]] double flops() const {
+    return static_cast<double>(batch) *
+           tensor::gemm_flops(out, hw * hw, in * 9);
+  }
+
+  tensor::Rng rng;
+  std::size_t in, out, hw, batch;
+  nn::Conv2D conv;
+  tensor::Tensor x;
+};
+
 void BM_Conv2DForward(benchmark::State& state) {
-  tensor::Rng rng(2);
-  nn::Conv2D conv(8, 16, 3, 1, 1, rng);
-  tensor::Tensor x = tensor::Tensor::randn({4, 8, 16, 16}, rng);
+  ConvBench cb(state, 2);
   for (auto _ : state) {
-    auto y = conv.forward(x, true);
+    auto y = cb.conv.forward(cb.x, true);
     benchmark::DoNotOptimize(y.data());
   }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      cb.flops() * static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Conv2DForward)->UseRealTime();
+BENCHMARK(BM_Conv2DForward)->Apply(conv_shapes)->UseRealTime();
 
 void BM_Conv2DBackward(benchmark::State& state) {
-  tensor::Rng rng(3);
-  nn::Conv2D conv(8, 16, 3, 1, 1, rng);
-  tensor::Tensor x = tensor::Tensor::randn({4, 8, 16, 16}, rng);
-  auto y = conv.forward(x, true);
-  tensor::Tensor g = tensor::Tensor::randn(y.shape(), rng);
+  ConvBench cb(state, 3);
+  auto y = cb.conv.forward(cb.x, true);
+  tensor::Tensor g = tensor::Tensor::randn(y.shape(), cb.rng);
   for (auto _ : state) {
-    auto gx = conv.backward(g);
+    auto gx = cb.conv.backward(g);
     benchmark::DoNotOptimize(gx.data());
   }
+  // Weight- and input-gradient GEMMs: twice the forward flops.
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      2.0 * cb.flops() * static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Conv2DBackward)->UseRealTime();
+BENCHMARK(BM_Conv2DBackward)->Apply(conv_shapes)->UseRealTime();
 
 void BM_GruForwardBackward(benchmark::State& state) {
   tensor::Rng rng(4);

@@ -5,14 +5,19 @@
 # rank thread — TSan is the tool that proves the ordering story holds.  The
 # CommAsync/Overlap tests exercise the nonblocking request paths (deferred
 # drains, abandoned requests after a kill) across those same rank threads.
+# The TensorPar/Conv2D*/Im2Col* suites drive the pool-threaded kernels: GEMM
+# packing into the caller's scratch arena and grouped Conv2D backward, whose
+# chunks write gradient partials that border other chunks' groups.  They run
+# with 8 pool threads so those chunks really do land on different threads.
 #
 # Usage: bench/run_tsan.sh [gtest_filter]
-# Env:   BUILD_DIR (default build-tsan), MSA_THREADS (default: all cores)
+# Env:   BUILD_DIR (default build-tsan), MSA_THREADS (default 8)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD=${BUILD_DIR:-build-tsan}
-FILTER=${1:-Comm*:CommAsync*:Dist*:Overlap*:Fault*:FailSlow*:Health*:Resilient*:Runtime*:Mailbox*:Obs*:Critpath*:Flight*:Trace*:Timeseries*:Hybrid*:Mesh*:Serve*:Inference*}
+FILTER=${1:-Comm*:CommAsync*:Dist*:Overlap*:Fault*:FailSlow*:Health*:Resilient*:Runtime*:Mailbox*:Obs*:Critpath*:Flight*:Trace*:Timeseries*:Hybrid*:Mesh*:Serve*:Inference*:TensorPar*:Conv2DGrouped*:Conv2DTest*:Im2Col*}
+export MSA_THREADS=${MSA_THREADS:-8}
 
 # MSA_OBS=ON (the default, restated here on purpose) keeps the tracer armed
 # under TSan: every rank thread writes spans while snapshot/clear run on the

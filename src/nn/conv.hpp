@@ -6,6 +6,16 @@
 namespace msa::nn {
 
 /// 2-D convolution via im2col + GEMM.  Input (B, C, H, W).
+///
+/// The lowering is grouped: samples are taken up to 256 / (oh*ow) at a time
+/// (fewer when that would leave a pool thread without a group), their
+/// im2col columns laid side by side in one block.  Forward runs one
+/// (out_ch x g*oh*ow) GEMM per group and backward one W^T G GEMM per group
+/// for the input gradient.  The weight gradient stays one GEMM
+/// per sample, accumulated into per-chunk partials reduced in chunk order.
+/// Results are bit-identical to a per-sample lowering and across
+/// MSA_THREADS; a GEMM that widening would change (see
+/// tensor::gemm_widening_exact) runs per sample within its group.
 class Conv2D : public Layer {
  public:
   Conv2D(std::size_t in_ch, std::size_t out_ch, std::size_t kernel,

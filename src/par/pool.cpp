@@ -178,8 +178,14 @@ void parallel_for_chunked(
     const std::size_t cb = begin + c * g;
     fn(c, cb, std::min(end, cb + g));
   };
+  // A single chunk is a plain call: it occupies no pool slot, so kernels
+  // nested inside it may still run on the pool.
+  if (nchunks == 1) {
+    run_chunk(0);
+    return;
+  }
   Pool& pool = Pool::instance();
-  if (nchunks == 1 || pool.size() == 1 || t_parallel_depth > 0 ||
+  if (pool.size() == 1 || t_parallel_depth > 0 ||
       !pool.try_acquire()) {
     // Serial fallback keeps the exact same chunk decomposition, so callers
     // using per-chunk partials get bit-identical results.

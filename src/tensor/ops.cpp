@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
-#include <vector>
 
 #include "obs/trace.hpp"
 #include "par/pool.hpp"
@@ -28,6 +28,10 @@ constexpr std::size_t kKC = 256;  // packed-panel depth
 // Below this many multiply-adds the packing overhead dominates; use the
 // serial scalar kernel.
 constexpr std::size_t kPackedThreshold = 48 * 48 * 48;
+
+bool uses_packed(std::size_t m, std::size_t n, std::size_t k) {
+  return m * n * k > kPackedThreshold;
+}
 
 // Scale C by beta (beta == 1 is the caller's no-op case).
 void scale_c(float* C, std::size_t count, float beta) {
@@ -164,11 +168,16 @@ void gemm_packed(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                  const float* B, std::size_t ldb, float* C) {
   const std::size_t npanels_n = (n + kNR - 1) / kNR;
   const std::size_t nrow_panels = (m + kMR - 1) / kMR;
-  std::vector<float> Bp(std::min(kKC, k) * npanels_n * kNR);
+  // Left uninitialised: pack_b writes every float of a depth block before
+  // the micro-kernel reads it.  On the heap, not in the scratch arena,
+  // where it would stay resident on every rank thread.
+  const auto Bp_buf = std::make_unique_for_overwrite<float[]>(
+      std::min(kKC, k) * npanels_n * kNR);
+  float* Bp = Bp_buf.get();
   for (std::size_t p0 = 0; p0 < k; p0 += kKC) {
     const std::size_t p1 = std::min(k, p0 + kKC);
     const std::size_t kc = p1 - p0;
-    pack_b(B, ldb, trans_b, p0, p1, n, Bp.data());
+    pack_b(B, ldb, trans_b, p0, p1, n, Bp);
     par::parallel_for(0, nrow_panels, 4, [&](std::size_t rb, std::size_t re) {
       par::Scratch scratch;
       float* Ap = scratch.floats(kc * kMR);
@@ -178,7 +187,7 @@ void gemm_packed(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
         const std::size_t mr = std::min(kMR, m - i0);
         pack_a_panel(A, lda, trans_a, alpha, i0, m, p0, p1, Ap);
         for (std::size_t jp = 0; jp < npanels_n; ++jp) {
-          microkernel(Ap, Bp.data() + jp * kc * kNR, kc, acc);
+          microkernel(Ap, Bp + jp * kc * kNR, kc, acc);
           const std::size_t j0 = jp * kNR;
           const std::size_t jn = std::min(kNR, n - j0);
           for (std::size_t r = 0; r < mr; ++r) {
@@ -199,11 +208,21 @@ void gemm_raw(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
   obs::ScopedSpan span(obs::Category::Compute, "gemm", /*bytes=*/0,
                        static_cast<std::uint64_t>(gemm_flops(m, n, k)));
   scale_c(C, m * n, beta);
-  if (m * n * k <= kPackedThreshold) {
+  if (!uses_packed(m, n, k)) {
     gemm_scalar(trans_a, trans_b, m, n, k, alpha, A, lda, B, ldb, C);
   } else {
     gemm_packed(trans_a, trans_b, m, n, k, alpha, A, lda, B, ldb, C);
   }
+}
+
+bool gemm_widening_exact(bool trans_a, bool trans_b, std::size_t m,
+                         std::size_t n, std::size_t n_wide, std::size_t k) {
+  if (uses_packed(m, n, k) == uses_packed(m, n_wide, k)) return true;
+  // Scalar at n, packed at n_wide.  The packed kernel restarts its
+  // accumulator every kKC depth steps; the no-transpose scalar kernel
+  // accumulates straight into C over the whole depth, the others restart
+  // every kBlock steps.  The chains agree only within one block of both.
+  return k <= ((trans_a || trans_b) ? kBlock : kKC);
 }
 
 void gemm(bool trans_a, bool trans_b, float alpha, const Tensor& a,
@@ -264,35 +283,59 @@ std::size_t conv_out_size(std::size_t in, std::size_t kernel,
   return (in + 2 * pad - kernel) / stride + 1;
 }
 
+namespace {
+// Output positions o in [lo, hi) whose input index o*stride + tap - pad lies
+// inside [0, extent), clamped to [0, out); lo <= hi always.  With
+// pad >= kernel or tap >= extent + pad the bounds fall outside [0, out),
+// and pad - tap or extent + pad - tap would wrap if taken unguarded.
+struct Span {
+  std::size_t lo, hi;
+};
+
+Span inside_span(std::size_t extent, std::size_t out, std::size_t tap,
+                 std::size_t stride, std::size_t pad) {
+  const std::size_t lo = tap >= pad ? 0 : (pad - tap + stride - 1) / stride;
+  const std::size_t hi =
+      tap >= extent + pad ? 0 : (extent + pad - tap + stride - 1) / stride;
+  return {std::min(lo, out), std::min(hi, out)};
+}
+}  // namespace
+
+// Both walk the column rows in (c, kh, kw) order and, per output row, touch
+// only the in-bounds column span [cs.lo, cs.hi): one contiguous run of the
+// input row when stride == 1, a strided one otherwise.
 void im2col(const float* input, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kernel_h, std::size_t kernel_w,
-            std::size_t stride, std::size_t pad, float* columns) {
+            std::size_t stride, std::size_t pad, float* columns,
+            std::size_t ld) {
   const std::size_t out_h = conv_out_size(height, kernel_h, stride, pad);
   const std::size_t out_w = conv_out_size(width, kernel_w, stride, pad);
-  const std::size_t out_hw = out_h * out_w;
+  if (ld == 0) ld = out_h * out_w;
   std::size_t row = 0;
   for (std::size_t c = 0; c < channels; ++c) {
     for (std::size_t kh = 0; kh < kernel_h; ++kh) {
+      const Span rs = inside_span(height, out_h, kh, stride, pad);
       for (std::size_t kw = 0; kw < kernel_w; ++kw, ++row) {
-        float* col_row = columns + row * out_hw;
+        const Span cs = inside_span(width, out_w, kw, stride, pad);
+        float* col_row = columns + row * ld;
         for (std::size_t oh = 0; oh < out_h; ++oh) {
-          const std::ptrdiff_t ih =
-              static_cast<std::ptrdiff_t>(oh * stride + kh) -
-              static_cast<std::ptrdiff_t>(pad);
-          for (std::size_t ow = 0; ow < out_w; ++ow) {
-            const std::ptrdiff_t iw =
-                static_cast<std::ptrdiff_t>(ow * stride + kw) -
-                static_cast<std::ptrdiff_t>(pad);
-            const bool inside = ih >= 0 &&
-                                ih < static_cast<std::ptrdiff_t>(height) &&
-                                iw >= 0 &&
-                                iw < static_cast<std::ptrdiff_t>(width);
-            col_row[oh * out_w + ow] =
-                inside ? input[(c * height + static_cast<std::size_t>(ih)) *
-                                   width +
-                               static_cast<std::size_t>(iw)]
-                       : 0.0f;
+          float* dst = col_row + oh * out_w;
+          if (oh < rs.lo || oh >= rs.hi || cs.lo == cs.hi) {
+            std::fill(dst, dst + out_w, 0.0f);
+            continue;
           }
+          const float* src = input +
+                             (c * height + oh * stride + kh - pad) * width +
+                             cs.lo * stride + kw - pad;
+          std::fill(dst, dst + cs.lo, 0.0f);
+          if (stride == 1) {
+            std::copy(src, src + (cs.hi - cs.lo), dst + cs.lo);
+          } else {
+            for (std::size_t j = cs.lo; j < cs.hi; ++j) {
+              dst[j] = src[(j - cs.lo) * stride];
+            }
+          }
+          std::fill(dst + cs.hi, dst + out_w, 0.0f);
         }
       }
     }
@@ -301,28 +344,29 @@ void im2col(const float* input, std::size_t channels, std::size_t height,
 
 void col2im(const float* columns, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kernel_h, std::size_t kernel_w,
-            std::size_t stride, std::size_t pad, float* input_grad) {
+            std::size_t stride, std::size_t pad, float* input_grad,
+            std::size_t ld) {
   const std::size_t out_h = conv_out_size(height, kernel_h, stride, pad);
   const std::size_t out_w = conv_out_size(width, kernel_w, stride, pad);
-  const std::size_t out_hw = out_h * out_w;
+  if (ld == 0) ld = out_h * out_w;
   std::size_t row = 0;
   for (std::size_t c = 0; c < channels; ++c) {
     for (std::size_t kh = 0; kh < kernel_h; ++kh) {
+      const Span rs = inside_span(height, out_h, kh, stride, pad);
       for (std::size_t kw = 0; kw < kernel_w; ++kw, ++row) {
-        const float* col_row = columns + row * out_hw;
-        for (std::size_t oh = 0; oh < out_h; ++oh) {
-          const std::ptrdiff_t ih =
-              static_cast<std::ptrdiff_t>(oh * stride + kh) -
-              static_cast<std::ptrdiff_t>(pad);
-          if (ih < 0 || ih >= static_cast<std::ptrdiff_t>(height)) continue;
-          for (std::size_t ow = 0; ow < out_w; ++ow) {
-            const std::ptrdiff_t iw =
-                static_cast<std::ptrdiff_t>(ow * stride + kw) -
-                static_cast<std::ptrdiff_t>(pad);
-            if (iw < 0 || iw >= static_cast<std::ptrdiff_t>(width)) continue;
-            input_grad[(c * height + static_cast<std::size_t>(ih)) * width +
-                       static_cast<std::size_t>(iw)] +=
-                col_row[oh * out_w + ow];
+        const Span cs = inside_span(width, out_w, kw, stride, pad);
+        if (cs.lo == cs.hi) continue;
+        const float* col_row = columns + row * ld;
+        for (std::size_t oh = rs.lo; oh < rs.hi; ++oh) {
+          const float* src = col_row + oh * out_w + cs.lo;
+          float* dst = input_grad +
+                       (c * height + oh * stride + kh - pad) * width +
+                       cs.lo * stride + kw - pad;
+          const std::size_t n = cs.hi - cs.lo;
+          if (stride == 1) {
+            for (std::size_t j = 0; j < n; ++j) dst[j] += src[j];
+          } else {
+            for (std::size_t j = 0; j < n; ++j) dst[j * stride] += src[j];
           }
         }
       }

@@ -40,16 +40,34 @@ void gemm_raw(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
 /// Flop count of a gemm with these dimensions (for simulated-time charging).
 [[nodiscard]] double gemm_flops(std::size_t m, std::size_t n, std::size_t k);
 
+/// True when widening a gemm_raw call with alpha == 1 and beta == 0 from n
+/// to n_wide >= n columns (same m, k and transposes; extra columns appended
+/// to B and C) leaves every element of the first n columns bit-identical.
+/// Holds when both widths take the same kernel, or when the depth fits in
+/// one block of both kernels, so every element sees the same fma chain.
+/// Lets callers batch several small GEMMs into one wide one without
+/// changing a result bit.
+[[nodiscard]] bool gemm_widening_exact(bool trans_a, bool trans_b,
+                                       std::size_t m, std::size_t n,
+                                       std::size_t n_wide, std::size_t k);
+
 /// im2col for NCHW input: input (C, H, W) -> columns
 /// (C*kh*kw, out_h*out_w) with given stride and symmetric zero padding.
+/// Column row r starts at columns + r * ld; ld == 0 means out_h*out_w
+/// (dense rows).  A larger ld lets several samples' columns sit side by
+/// side in one (C*kh*kw) x (g*out_h*out_w) block: pass columns offset by
+/// i*out_h*out_w and ld = g*out_h*out_w for sample i of g.
 void im2col(const float* input, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kernel_h, std::size_t kernel_w,
-            std::size_t stride, std::size_t pad, float* columns);
+            std::size_t stride, std::size_t pad, float* columns,
+            std::size_t ld = 0);
 
-/// Adjoint of im2col (accumulates into input gradient).
+/// Adjoint of im2col (accumulates into input gradient).  ld as for im2col.
+/// Additions happen in (c, kh, kw, oh, ow) order whatever ld is.
 void col2im(const float* columns, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kernel_h, std::size_t kernel_w,
-            std::size_t stride, std::size_t pad, float* input_grad);
+            std::size_t stride, std::size_t pad, float* input_grad,
+            std::size_t ld = 0);
 
 /// Output spatial size for a conv/pool dimension.
 [[nodiscard]] std::size_t conv_out_size(std::size_t in, std::size_t kernel,
