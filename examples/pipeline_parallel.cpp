@@ -11,6 +11,8 @@
 // The run finishes with ZeRO-1 optimizer-state sharding on the ParamStore
 // slab to show the third axis composes with the same substrate.
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "comm/runtime.hpp"
 #include "core/machine_builder.hpp"
@@ -39,6 +41,12 @@ int main() {
   comm::Runtime runtime(core::build_machine(
       deep, {{.module = &cluster, .ranks = replicas},
              {.module = &esb, .ranks = replicas}}));
+  // Rank threads run concurrently, so each keeps its grid line here and the
+  // lines are printed in rank order, then rank 0's training log, once the
+  // run is over: stdout stays deterministic.
+  std::vector<std::string> grid_lines(
+      static_cast<std::size_t>(runtime.ranks()));
+  std::string train_log;
   runtime.run([&](comm::Comm& comm) {
     // One collective call carves the 2-D grid: data() spans my stage's
     // replicas, pipe() spans my replica's stages.
@@ -61,10 +69,13 @@ int main() {
     dist::PipelineStage stage(
         mesh, std::move(parts[static_cast<std::size_t>(mesh.stage())]),
         std::make_unique<nn::Sgd>(0.05, 0.9), opts);
-    std::printf(
+    char line[128];
+    std::snprintf(
+        line, sizeof line,
         "  rank %d -> grid (stage %d, replica %d), %zu parameters%s\n",
         comm.rank(), mesh.stage(), mesh.replica(), my_params,
         mesh.pipeline_crosses_modules() ? ", chain crosses modules" : "");
+    grid_lines[static_cast<std::size_t>(comm.rank())] = line;
 
     // Train with 4 microbatches of 8 per step; each replica takes its own
     // shard of the batch stream, so the effective batch is 3x the legacy
@@ -95,11 +106,15 @@ int main() {
       }
       loss = stage.step_classification(xs, ys);
       if (comm.rank() == 0 && step % 10 == 9) {
-        std::printf("step %2d  loss %.4f  (modelled t=%.2f ms)\n", step, loss,
-                    comm.sim_now() * 1e3);
+        std::snprintf(line, sizeof line,
+                      "step %2d  loss %.4f  (modelled t=%.2f ms)\n", step,
+                      loss, comm.sim_now() * 1e3);
+        train_log += line;
       }
     }
   });
+  for (const std::string& line : grid_lines) std::fputs(line.c_str(), stdout);
+  std::fputs(train_log.c_str(), stdout);
   std::printf("hybrid makespan (modelled): %.2f ms\n\n",
               runtime.max_sim_time() * 1e3);
 

@@ -277,7 +277,117 @@ TEST(Hybrid, MatchesSerialGradientAccumulationAcrossThreadCounts) {
   EXPECT_NEAR(serial.loss, ref_loss, 1e-5f);
 }
 
+/// Train a [2 stages x 4 replicas] hybrid on 8 ranks, 2 per node, so each
+/// stage's data axis spans two nodes and `hierarchical` really composes an
+/// intra-node and a cross-node level.  Returns every rank's parameter slab.
+std::array<std::vector<float>, 8> run_hybrid_2x4(
+    const msa::dist::PipelineOptions& options) {
+  constexpr int kMicro = 2;
+  constexpr int kSteps = 3;
+  std::array<std::vector<float>, 8> per_rank;
+  std::mutex m;
+  Runtime rt = make_runtime(8, /*per_node=*/2);
+  rt.run([&](Comm& comm) {
+    auto stages = msa::dist::partition_model(small_mlp(), 2);
+    Mesh mesh(comm, MeshOptions{.pipeline_stages = 2, .topology_aware = false});
+    PipelineStage stage(
+        mesh, std::move(stages[static_cast<std::size_t>(mesh.stage())]),
+        std::make_unique<msa::nn::Sgd>(0.1, 0.9), options);
+    // Replica-dependent microbatches: every replica's gradient differs, so
+    // the data-axis reduction order shows in the bits.
+    Rng data_rng(300 + static_cast<unsigned>(mesh.replica()));
+    for (int s = 0; s < kSteps; ++s) {
+      std::vector<Tensor> xs;
+      std::vector<std::vector<std::int32_t>> ys;
+      for (int mb = 0; mb < kMicro; ++mb) {
+        xs.push_back(Tensor::randn({4, 6}, data_rng));
+        std::vector<std::int32_t> y(4);
+        for (auto& v : y) {
+          v = static_cast<std::int32_t>(data_rng.uniform_index(3));
+        }
+        ys.push_back(std::move(y));
+      }
+      (void)stage.step_classification(xs, ys);
+    }
+    const auto slab = stage.param_store().param_span();
+    std::lock_guard lock(m);
+    per_rank[static_cast<std::size_t>(comm.rank())].assign(slab.begin(),
+                                                           slab.end());
+  });
+  return per_rank;
+}
+
+TEST(Hybrid, PipelineOverlapBitIdenticalToBlockingPath) {
+  // The stage's data-axis reduction must give the same bits whether its
+  // buckets go out overlapped with the last microbatch's backward or in one
+  // blocking pass after the schedule — flat or hierarchical, fp32 or fp16.
+  std::array<std::array<std::vector<float>, 8>, 2> fp32_by_hier;
+  for (const bool hier : {false, true}) {
+    for (const bool fp16 : {false, true}) {
+      msa::dist::PipelineOptions blocking;
+      blocking.allreduce.bucket_bytes = 64;  // 16 floats: many buckets
+      blocking.allreduce.hierarchical = hier;
+      blocking.allreduce.fp16_compression = fp16;
+      msa::dist::PipelineOptions overlapped = blocking;
+      overlapped.allreduce.overlap = true;
+      const auto a = run_hybrid_2x4(blocking);
+      const auto b = run_hybrid_2x4(overlapped);
+      for (std::size_t r = 0; r < a.size(); ++r) {
+        ASSERT_FALSE(a[r].empty());
+        ASSERT_EQ(a[r], b[r]) << "rank " << r << " hier=" << hier
+                              << " fp16=" << fp16;
+      }
+      if (!fp16) fp32_by_hier[hier ? 1 : 0] = a;
+    }
+  }
+  // The hierarchy engages on this layout: it reassociates the sums.
+  EXPECT_NE(fp32_by_hier[0], fp32_by_hier[1]);
+}
+
 // ---- ZeRO option combinations on the slab -----------------------------------
+
+TEST(HybridZero, OverlapBitIdenticalToBlockingForEveryCombo) {
+  // Deferring a ZeRO phase through the progress engine changes only its
+  // scheduling, never its arithmetic: for every (hierarchical, fp16) pair
+  // the overlapped step must match the blocking step bit for bit.
+  constexpr int P = 4;
+  for (const bool hier : {false, true}) {
+    for (const bool fp16 : {false, true}) {
+      Runtime rt = make_runtime(P, /*per_node=*/2);
+      rt.run([&](Comm& comm) {
+        AllreduceOptions blocking;
+        blocking.hierarchical = hier;
+        blocking.fp16_compression = fp16;
+        AllreduceOptions overlapped = blocking;
+        overlapped.overlap = true;
+        auto m_block = small_mlp();
+        auto m_over = small_mlp();
+        ParamStore s_block(*m_block);
+        ParamStore s_over(*m_over);
+        ZeroOptimizer z_block(comm, std::make_unique<msa::nn::Adam>(1e-2),
+                              blocking);
+        ZeroOptimizer z_over(comm, std::make_unique<msa::nn::Adam>(1e-2),
+                             overlapped);
+        for (int s = 0; s < 3; ++s) {
+          const int seed = comm.rank() + 10 * s;
+          fill_grads(*m_block, seed);
+          fill_grads(*m_over, seed);
+          z_block.step(s_block);
+          z_over.step(s_over);
+        }
+        ASSERT_EQ(z_block.shard_offset(), z_over.shard_offset());
+        const auto a = flatten_params(*m_block);
+        const auto b = flatten_params(*m_over);
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          ASSERT_EQ(a[i], b[i]) << "param " << i << " hier=" << hier
+                                << " fp16=" << fp16;
+        }
+      });
+    }
+  }
+}
+
 
 TEST(HybridZero, OptionCombosMatchDefaultSlabStep) {
   // The slab step under overlap / hierarchical / fp16 must agree with the
