@@ -4,7 +4,9 @@
 # states, failure epoch, mailbox pokes) is lock-free state shared across every
 # rank thread — TSan is the tool that proves the ordering story holds.  The
 # CommAsync/Overlap tests exercise the nonblocking request paths (deferred
-# drains, abandoned requests after a kill) across those same rank threads.
+# drains, abandoned requests after a kill) across those same rank threads;
+# Zero* (with DistSlab*, matched by Dist*, and HybridZero*, by Hybrid*) runs
+# the ZeRO phases, which go through the same deferred path under overlap.
 # The TensorPar/Conv2D*/Im2Col* suites drive the pool-threaded kernels: GEMM
 # packing into the caller's scratch arena and grouped Conv2D backward, whose
 # chunks write gradient partials that border other chunks' groups.  They run
@@ -16,7 +18,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD=${BUILD_DIR:-build-tsan}
-FILTER=${1:-Comm*:CommAsync*:Dist*:Overlap*:Fault*:FailSlow*:Health*:Resilient*:Runtime*:Mailbox*:Obs*:Critpath*:Flight*:Trace*:Timeseries*:Hybrid*:Mesh*:Serve*:Inference*:TensorPar*:Conv2DGrouped*:Conv2DTest*:Im2Col*}
+FILTER=${1:-Comm*:CommAsync*:Dist*:Zero*:Overlap*:Fault*:FailSlow*:Health*:Resilient*:Runtime*:Mailbox*:Obs*:Critpath*:Flight*:Trace*:Timeseries*:Hybrid*:Mesh*:Serve*:Inference*:TensorPar*:Conv2DGrouped*:Conv2DTest*:Im2Col*}
 export MSA_THREADS=${MSA_THREADS:-8}
 
 # MSA_OBS=ON (the default, restated here on purpose) keeps the tracer armed

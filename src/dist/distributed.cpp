@@ -4,7 +4,6 @@
 #include <array>
 #include <numeric>
 
-#include "dist/compression.hpp"
 #include "obs/trace.hpp"
 #include "tensor/rng.hpp"
 
@@ -17,25 +16,7 @@ void broadcast_parameters(comm::Comm& comm, nn::ParamStore& store, int root) {
 void allreduce_gradients(comm::Comm& comm, nn::ParamStore& store,
                          const AllreduceOptions& options) {
   if (comm.size() == 1) return;
-  std::span<float> slab = store.grad_span();
-  const std::size_t bucket_elems =
-      std::max<std::size_t>(1, options.bucket_bytes / sizeof(float));
-  const float inv_world = 1.0f / static_cast<float>(comm.size());
-  std::vector<Half> half;  // fp16 scratch, reused across ranges
-  for (std::size_t offset = 0; offset < slab.size(); offset += bucket_elems) {
-    std::span<float> range =
-        slab.subspan(offset, std::min(bucket_elems, slab.size() - offset));
-    if (options.fp16_compression) {
-      half.resize(range.size());
-      encode_half(range, half);
-      comm.allreduce(std::span<Half>(half), comm::ReduceOp::Sum,
-                     options.algorithm);
-      decode_half(half, inv_world, range);
-    } else {
-      comm.allreduce(range, comm::ReduceOp::Sum, options.algorithm);
-      for (float& g : range) g *= inv_world;
-    }
-  }
+  GradientReducer(comm, store, options).reduce();
 }
 
 std::vector<std::size_t> full_epoch_permutation(std::size_t dataset_size,
@@ -76,21 +57,18 @@ std::vector<std::size_t> ShardedSampler::epoch_indices(
 DistributedTrainer::DistributedTrainer(comm::Comm& comm, nn::Layer& model,
                                        nn::Optimizer& opt,
                                        AllreduceOptions options)
-    : comm_(comm), model_(model), opt_(opt), store_(model), options_(options) {
+    : comm_(comm), model_(model), opt_(opt), store_(model) {
   store_.attach_optimizer(opt_);
-  if (comm_.size() > 1 && options_.hierarchical) {
-    // Collective: every rank constructs its trainer SPMD, as with splits.
-    hier_ = make_hierarchical(comm_, options_.hierarchy_level);
-    if (!hier_->enabled) hier_.reset();  // flat topology: nothing to exploit
-  }
-  if (comm_.size() > 1 && options_.overlap) {
-    reducer_.emplace(comm_, store_, options_, hier_ ? &*hier_ : nullptr);
-    model_.set_backward_observer(&*reducer_);
+  if (comm_.size() > 1) {
+    // Collective under options.hierarchical: every rank constructs its
+    // trainer SPMD, as with splits.
+    reducer_.emplace(comm_, store_, options);
+    if (options.overlap) model_.set_backward_observer(&*reducer_);
   }
 }
 
 DistributedTrainer::~DistributedTrainer() {
-  if (reducer_) model_.set_backward_observer(nullptr);
+  if (reducer() != nullptr) model_.set_backward_observer(nullptr);
 }
 
 void DistributedTrainer::reduce_and_apply() {
@@ -101,11 +79,7 @@ void DistributedTrainer::reduce_and_apply() {
   {
     obs::ScopedSpan span(obs::Category::Comm, "allreduce_grads",
                          store_.grad_span().size_bytes());
-    if (hier_) {
-      allreduce_gradients(comm_, *hier_, store_, options_);
-    } else {
-      allreduce_gradients(comm_, store_, options_);
-    }
+    if (reducer_) reducer_->reduce();
   }
   obs::ScopedSpan span(obs::Category::Compute, "optimizer");
   store_.step(opt_);
@@ -113,7 +87,7 @@ void DistributedTrainer::reduce_and_apply() {
 
 void DistributedTrainer::backward_reduce_apply(const nn::Tensor& loss_grad,
                                                double fwd_flops) {
-  if (reducer_) {
+  if (reducer() != nullptr) {
     // Overlapped path.  The forward's compute is charged before backward
     // starts; the hooks charge 2x each layer's forward flops as its backward
     // completes (so bucket issue times interleave honestly with compute) and

@@ -2,13 +2,15 @@
 // training tools such as Horovod" of paper Sec. III-A, Fig. 3 N).
 //
 // The three pillars, exactly as in Horovod:
-//   1. broadcast_parameters      — all replicas start identical: one bcast
-//                                  of the contiguous parameter slab
-//   2. allreduce_gradients       — average grads each step over offset
-//                                  ranges of the gradient slab (tensor
-//                                  fusion) with optional fp16 compression
-//   3. ShardedSampler            — disjoint per-rank data shards, reshuffled
-//                                  each epoch with a common seed
+//   1. broadcast_parameters — all replicas start identical: one bcast of
+//                             the contiguous parameter slab
+//   2. GradientReducer      — average grads each step over fixed offset
+//                             ranges of the gradient slab (tensor fusion),
+//                             binary16 on the wire if asked, intra-node
+//                             first when the topology allows it, blocking
+//                             or overlapped with the backward pass
+//   3. ShardedSampler       — disjoint per-rank data shards, reshuffled
+//                             each epoch with a common seed
 // plus a DistributedTrainer that ties them to the nn:: layer stack and
 // charges simulated compute time for the roofline model of the host device.
 // Both collectives work on an nn::ParamStore: construct the trainer (or a
@@ -17,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "comm/comm.hpp"
@@ -36,16 +39,22 @@ struct AllreduceOptions {
   /// Launch each bucket's allreduce nonblocking as soon as the backward pass
   /// finalises its gradients (Horovod's overlap), draining before the
   /// optimizer.  Bucket boundaries and per-bucket reduction order are
-  /// identical to the synchronous path, so results match bit for bit.
+  /// identical to the blocking path, so results match bit for bit.
   bool overlap = false;
-  /// Compose intra-group ring reduce-scatter/allgather with an inter-group
+  /// Compose an intra-node ring reduce-scatter/allgather with a cross-node
   /// allreduce (see overlap.hpp).  Ignored when the machine topology gives
   /// the split nothing to exploit.
   bool hierarchical = false;
-  /// Grouping used when `hierarchical` is set.
-  HierarchyLevel hierarchy_level = HierarchyLevel::Node;
   std::optional<simnet::CollectiveAlgorithm> algorithm;  ///< force algorithm
 };
+
+/// The hierarchy @p options asks for on @p comm: the node-level split of
+/// make_hierarchical when options.hierarchical is set, @p comm has more than
+/// one rank and the topology makes the split worthwhile; nullopt otherwise
+/// (take the flat path).  Collective when it splits.  GradientReducer and
+/// ZeroOptimizer both build their hierarchy here.
+[[nodiscard]] std::optional<HierarchicalComms> make_data_hierarchy(
+    comm::Comm& comm, const AllreduceOptions& options);
 
 /// Broadcast the contiguous parameter slab of @p store from @p root in ONE
 /// bcast, so all replicas start from identical weights (Horovod
@@ -53,63 +62,52 @@ struct AllreduceOptions {
 void broadcast_parameters(comm::Comm& comm, nn::ParamStore& store,
                           int root = 0);
 
-/// Sum-and-average the gradient slab of @p store across ranks.  Buckets
-/// (Horovod tensor fusion) are offset ranges of at most bucket_bytes, handed
-/// to comm.allreduce in place and averaged in place — zero per-step
-/// pack/unpack copies in the fp32 path.  fp16 compression converts each
-/// range through a reused scratch buffer.
-void allreduce_gradients(comm::Comm& comm, nn::ParamStore& store,
-                         const AllreduceOptions& options = {});
-
-/// Slab path through the two-level topology: same buckets, but each bucket
-/// runs hierarchical_allreduce (intra reduce-scatter, inter allreduce, intra
-/// allgather) instead of a flat world allreduce.  `options.algorithm` picks
-/// the inter-group algorithm.
-void allreduce_gradients(comm::Comm& comm, HierarchicalComms& topo,
-                         nn::ParamStore& store,
-                         const AllreduceOptions& options = {});
-
-/// Backward-overlapped bucketed gradient reducer (the tentpole of Horovod's
-/// pipelining, Sec. III-A): installed as the model's BackwardObserver, it
-/// watches layers finish their backward pass in reverse order, maps their
-/// gradient tensors onto contiguous grad-slab buckets, and launches a
-/// nonblocking allreduce for every bucket the moment its last contributing
-/// layer completes — while earlier layers are still computing.  finish()
-/// drains all requests and applies the 1/world scaling before the optimizer
-/// runs.
+/// The one gradient exchange of the library (DistributedTrainer and the
+/// data axis of PipelineStage): sum-and-average the gradient slab of one
+/// ParamStore across ranks.  Buckets (Horovod tensor fusion) are fixed
+/// offset ranges of at most bucket_bytes; each is encoded for the wire (the
+/// fp32 range itself, or its binary16 copy), summed by one allreduce — flat,
+/// or hierarchical_allreduce over make_data_hierarchy's split — then decoded
+/// and scaled by 1/world in place.
 ///
-/// Determinism: bucket boundaries are fixed offset ranges of the grad slab
-/// (identical to the synchronous allreduce_gradients), each bucket's payload
-/// is final when launched, and buckets are reduced independently — so the
-/// overlapped result is bit-identical to the synchronous path regardless of
-/// launch order.  Launch *order* (gradient readiness) only shapes the
-/// simulated timeline.
-///
-/// Also charges per-layer backward compute (2x the layer's forward flops) as
-/// layers complete, so bucket issue times interleave honestly with compute;
-/// the trainer tops up any remainder to keep totals equal to the sync path.
-class OverlappedReducer : public nn::BackwardObserver {
+/// reduce() is the blocking form.  The overlapped form (Horovod's
+/// pipelining) is the BackwardObserver: it charges each finished layer's
+/// backward compute (2x its forward flops; the caller tops up the rest) and
+/// launches a bucket nonblocking the moment its last tensor is final, while
+/// earlier layers still compute; finish() drains and decodes.  Both forms
+/// share buckets, payloads and reductions, so their results are
+/// bit-identical whatever the launch order, which only shapes the simulated
+/// timeline.
+class GradientReducer : public nn::BackwardObserver {
  public:
-  /// @p hier may be null (flat reduction).  All referees must outlive the
-  /// reducer; @p comm must have size() > 1.
-  OverlappedReducer(comm::Comm& comm, nn::ParamStore& store,
-                    AllreduceOptions options, HierarchicalComms* hier);
+  /// @p comm must have size() > 1; @p comm and @p store must outlive the
+  /// reducer.  Collective over @p comm when options.hierarchical is set.
+  GradientReducer(comm::Comm& comm, nn::ParamStore& store,
+                  const AllreduceOptions& options);
 
-  /// Reset per-step tracking.  Call after zero_grads, before backward.
+  /// Blocking form: exchange and average every bucket, in ascending order
+  /// (no-op once the communicator has shrunk to one rank).
+  void reduce();
+
+  /// True when the owner drives the overlapped form (options.overlap).
+  [[nodiscard]] bool overlapped() const { return options_.overlap; }
+
+  /// Overlapped form: reset per-step tracking.  Call after zero_grads,
+  /// before backward.
   void begin_step();
 
   /// BackwardObserver: charge the layer's backward compute, mark its
   /// gradient ranges ready, launch any bucket that just filled.
   void on_layer_backward(nn::Layer& layer) override;
 
-  /// Launch any buckets still unfilled (defensive: tensors not reported by
-  /// any layer), drain every request, scale the slab by 1/world.
+  /// Overlapped form: launch any buckets still unfilled (defensive: tensors
+  /// not reported by any layer), drain every request, decode and scale.
   void finish();
 
   /// Backward flops charged through hooks this step (2x forward per layer).
   [[nodiscard]] double charged_flops() const { return charged_flops_; }
 
-  /// Bucket count over the grad slab (same boundaries as the sync path).
+  /// Bucket count over the grad slab.
   [[nodiscard]] std::size_t bucket_count() const { return n_buckets_; }
 
   /// Buckets launched from inside the backward pass this step (the rest
@@ -119,23 +117,43 @@ class OverlappedReducer : public nn::BackwardObserver {
   }
 
  private:
+  [[nodiscard]] std::span<float> bucket(std::size_t b) const;
+  /// Bucket @p b as wire type @p T (float or Half).
+  template <typename T>
+  std::span<T> encode(std::size_t b);
+  /// Bucket @p b back from the summed wire, scaled by 1/world.
+  template <typename T>
+  void decode(std::size_t b);
+  /// Sum @p wire across ranks: blocking, or deferred on the progress engine.
+  template <typename T>
+  void exchange(std::span<T> wire);
+  template <typename T>
+  comm::Request exchange_deferred(std::span<T> wire);
+  template <typename T>
+  void reduce_as();
   void launch_bucket(std::size_t b);
 
   comm::Comm& comm_;
   nn::ParamStore& store_;
   AllreduceOptions options_;
-  HierarchicalComms* hier_;
+  std::optional<HierarchicalComms> hier_;  // engaged only when exploitable
   std::size_t bucket_elems_;
   std::size_t n_buckets_;
+  std::vector<std::vector<Half>> half_;  // per-bucket fp16 wire scratch
+  // Overlapped-form bookkeeping, reset by begin_step().
   std::vector<std::size_t> remaining_;   // unready elements per bucket
   std::vector<char> launched_;           // per bucket
   std::vector<char> seen_;               // per registered grad tensor
-  std::vector<std::vector<Half>> half_;  // per-bucket fp16 wire scratch
   std::vector<comm::Request> requests_;
   std::vector<std::size_t> launched_buckets_;  // bucket index per request
   std::size_t launched_in_backward_ = 0;
   double charged_flops_ = 0.0;
 };
+
+/// One-shot blocking GradientReducer(comm, store, options).reduce();
+/// options.overlap is ignored.  No-op on a single rank.
+void allreduce_gradients(comm::Comm& comm, nn::ParamStore& store,
+                         const AllreduceOptions& options = {});
 
 /// The common epoch-@p epoch shuffle of [0, dataset_size) every rank agrees
 /// on (Fisher–Yates under a shared seed).  ShardedSampler strides over it;
@@ -174,8 +192,9 @@ struct StepResult {
 /// Data-parallel trainer wrapping a model replica on one rank.
 ///
 /// Construction builds a ParamStore over the model (relocating parameters,
-/// gradients, and optimizer state into contiguous slabs), so every step
-/// runs the fused paths: slab-range allreduce and flat optimizer sweeps.
+/// gradients, and optimizer state into contiguous slabs) and, on more than
+/// one rank, the GradientReducer over it — so every step runs the fused
+/// paths: slab-range allreduce and flat optimizer sweeps.
 class DistributedTrainer {
  public:
   DistributedTrainer(comm::Comm& comm, nn::Layer& model, nn::Optimizer& opt,
@@ -188,13 +207,9 @@ class DistributedTrainer {
   /// The slab store backing this trainer's model.
   [[nodiscard]] nn::ParamStore& param_store() { return store_; }
 
-  /// Non-null when options.hierarchical found an exploitable topology.
-  [[nodiscard]] const HierarchicalComms* hierarchy() const {
-    return hier_ ? &*hier_ : nullptr;
-  }
   /// Non-null when options.overlap is active (size() > 1).
-  [[nodiscard]] const OverlappedReducer* reducer() const {
-    return reducer_ ? &*reducer_ : nullptr;
+  [[nodiscard]] const GradientReducer* reducer() const {
+    return reducer_ && reducer_->overlapped() ? &*reducer_ : nullptr;
   }
 
   /// Classification step on this rank's microbatch.  Forward, backward,
@@ -226,9 +241,7 @@ class DistributedTrainer {
   nn::Layer& model_;
   nn::Optimizer& opt_;
   nn::ParamStore store_;
-  AllreduceOptions options_;
-  std::optional<HierarchicalComms> hier_;
-  std::optional<OverlappedReducer> reducer_;
+  std::optional<GradientReducer> reducer_;  // engaged when size() > 1
   double loss_scale_ = 1.0;
 };
 

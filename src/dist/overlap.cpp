@@ -1,10 +1,11 @@
 #include "dist/overlap.hpp"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <type_traits>
 
 #include "dist/distributed.hpp"
-#include "obs/trace.hpp"
 
 namespace msa::dist {
 
@@ -30,117 +31,133 @@ HierarchicalComms make_hierarchical(comm::Comm& world, HierarchyLevel level) {
   return HierarchicalComms{std::move(intra), std::move(cross), enabled};
 }
 
-void allreduce_gradients(comm::Comm& comm, HierarchicalComms& topo,
-                         nn::ParamStore& store,
-                         const AllreduceOptions& options) {
-  if (comm.size() == 1) return;
-  std::span<float> slab = store.grad_span();
-  const std::size_t bucket_elems =
-      std::max<std::size_t>(1, options.bucket_bytes / sizeof(float));
-  const float inv_world = 1.0f / static_cast<float>(comm.size());
-  std::vector<Half> half;
-  for (std::size_t offset = 0; offset < slab.size(); offset += bucket_elems) {
-    std::span<float> range =
-        slab.subspan(offset, std::min(bucket_elems, slab.size() - offset));
-    if (options.fp16_compression) {
-      half.resize(range.size());
-      encode_half(range, half);
-      hierarchical_allreduce(comm, topo, std::span<Half>(half),
-                             comm::ReduceOp::Sum, options.algorithm);
-      decode_half(half, inv_world, range);
-    } else {
-      hierarchical_allreduce(comm, topo, range, comm::ReduceOp::Sum,
-                             options.algorithm);
-      for (float& g : range) g *= inv_world;
-    }
-  }
+std::optional<HierarchicalComms> make_data_hierarchy(
+    comm::Comm& comm, const AllreduceOptions& options) {
+  if (!options.hierarchical || comm.size() == 1) return std::nullopt;
+  HierarchicalComms topo = make_hierarchical(comm);
+  if (!topo.enabled) return std::nullopt;  // nothing to exploit: flat path
+  return topo;
 }
 
-OverlappedReducer::OverlappedReducer(comm::Comm& comm, nn::ParamStore& store,
-                                     AllreduceOptions options,
-                                     HierarchicalComms* hier)
+GradientReducer::GradientReducer(comm::Comm& comm, nn::ParamStore& store,
+                                 const AllreduceOptions& options)
     : comm_(comm),
       store_(store),
       options_(options),
-      hier_(hier),
+      hier_(make_data_hierarchy(comm, options)),
       bucket_elems_(
           std::max<std::size_t>(1, options.bucket_bytes / sizeof(float))),
-      n_buckets_((store.size() + bucket_elems_ - 1) / bucket_elems_) {
+      n_buckets_((store.size() + bucket_elems_ - 1) / bucket_elems_),
+      half_(n_buckets_) {
   if (comm_.size() <= 1) {
     throw std::invalid_argument(
-        "OverlappedReducer: needs a multi-rank communicator");
+        "GradientReducer: needs a multi-rank communicator");
   }
-  remaining_.resize(n_buckets_);
-  launched_.resize(n_buckets_, 0);
-  seen_.resize(store_.grads().size(), 0);
-  half_.resize(n_buckets_);
-  requests_.reserve(n_buckets_);
-  launched_buckets_.reserve(n_buckets_);
 }
 
-void OverlappedReducer::begin_step() {
+std::span<float> GradientReducer::bucket(std::size_t b) const {
+  const std::size_t lo = b * bucket_elems_;
+  return store_.grad_span().subspan(
+      lo, std::min(bucket_elems_, store_.size() - lo));
+}
+
+template <typename T>
+std::span<T> GradientReducer::encode(std::size_t b) {
+  if constexpr (std::is_same_v<T, float>) {
+    return bucket(b);
+  } else {
+    const std::span<float> range = bucket(b);
+    std::vector<Half>& h = half_[b];
+    h.resize(range.size());
+    encode_half(range, h);
+    return h;
+  }
+}
+
+template <typename T>
+void GradientReducer::decode(std::size_t b) {
+  // comm_.size() is read per use: recovery may shrink the communicator in
+  // place under a live reducer.
+  const float inv_world = 1.0f / static_cast<float>(comm_.size());
+  if constexpr (std::is_same_v<T, float>) {
+    for (float& g : bucket(b)) g *= inv_world;
+  } else {
+    decode_half(half_[b], inv_world, bucket(b));
+  }
+}
+
+template <typename T>
+void GradientReducer::exchange(std::span<T> wire) {
+  if (hier_) {
+    hierarchical_allreduce(comm_, *hier_, wire, comm::ReduceOp::Sum,
+                           options_.algorithm);
+  } else {
+    comm_.allreduce(wire, comm::ReduceOp::Sum, options_.algorithm);
+  }
+}
+
+template <typename T>
+comm::Request GradientReducer::exchange_deferred(std::span<T> wire) {
+  if (!hier_) {
+    return comm_.iallreduce(wire, comm::ReduceOp::Sum, options_.algorithm);
+  }
+  // The body runs at drain time on handle snapshots taken now, in issue
+  // order on every rank.
+  comm::Comm world = comm_;
+  HierarchicalComms topo = *hier_;
+  return comm_.idefer(
+      wire.size_bytes(),
+      [world, topo, wire, alg = options_.algorithm]() mutable {
+        hierarchical_allreduce(world, topo, wire, comm::ReduceOp::Sum, alg);
+      });
+}
+
+template <typename T>
+void GradientReducer::reduce_as() {
+  for (std::size_t b = 0; b < n_buckets_; ++b) {
+    exchange(encode<T>(b));
+    decode<T>(b);
+  }
+}
+
+void GradientReducer::reduce() {
+  if (comm_.size() == 1) return;  // shrunk to one survivor: nothing to sum
+  if (options_.fp16_compression) {
+    reduce_as<Half>();
+  } else {
+    reduce_as<float>();
+  }
+}
+
+void GradientReducer::begin_step() {
   if (!requests_.empty()) {
     throw std::logic_error(
-        "OverlappedReducer::begin_step: previous step never finished "
+        "GradientReducer::begin_step: previous step never finished "
         "(requests still in flight)");
   }
-  const std::size_t total = store_.size();
+  remaining_.resize(n_buckets_);
   for (std::size_t b = 0; b < n_buckets_; ++b) {
-    const std::size_t lo = b * bucket_elems_;
-    remaining_[b] = std::min(bucket_elems_, total - lo);
-    launched_[b] = 0;
+    remaining_[b] = bucket(b).size();
   }
-  std::fill(seen_.begin(), seen_.end(), 0);
+  launched_.assign(n_buckets_, 0);
+  seen_.assign(store_.grads().size(), 0);
   launched_buckets_.clear();
   launched_in_backward_ = 0;
   charged_flops_ = 0.0;
 }
 
-void OverlappedReducer::launch_bucket(std::size_t b) {
+void GradientReducer::launch_bucket(std::size_t b) {
   launched_[b] = 1;
   launched_buckets_.push_back(b);
-  const std::size_t lo = b * bucket_elems_;
-  std::span<float> range = store_.grad_span().subspan(
-      lo, std::min(bucket_elems_, store_.size() - lo));
   // The wire payload is final here: every tensor overlapping this bucket has
-  // finished its backward accumulation (remaining_ hit zero), so packing /
-  // reducing now produces exactly what the synchronous path would.
-  if (options_.fp16_compression) {
-    auto& h = half_[b];
-    h.resize(range.size());
-    encode_half(range, h);
-    std::span<Half> wire(h);
-    if (hier_ != nullptr) {
-      comm::Comm world = comm_;
-      HierarchicalComms topo = *hier_;
-      requests_.push_back(comm_.idefer(
-          wire.size_bytes(), [world, topo, wire,
-                              alg = options_.algorithm]() mutable {
-            hierarchical_allreduce(world, topo, wire, comm::ReduceOp::Sum,
-                                   alg);
-          }));
-    } else {
-      requests_.push_back(
-          comm_.iallreduce(wire, comm::ReduceOp::Sum, options_.algorithm));
-    }
-  } else {
-    if (hier_ != nullptr) {
-      comm::Comm world = comm_;
-      HierarchicalComms topo = *hier_;
-      requests_.push_back(comm_.idefer(
-          range.size_bytes(), [world, topo, range,
-                               alg = options_.algorithm]() mutable {
-            hierarchical_allreduce(world, topo, range, comm::ReduceOp::Sum,
-                                   alg);
-          }));
-    } else {
-      requests_.push_back(
-          comm_.iallreduce(range, comm::ReduceOp::Sum, options_.algorithm));
-    }
-  }
+  // finished its backward accumulation (remaining_ hit zero), so encoding /
+  // reducing now produces exactly what the blocking form would.
+  requests_.push_back(options_.fp16_compression
+                          ? exchange_deferred(encode<Half>(b))
+                          : exchange_deferred(encode<float>(b)));
 }
 
-void OverlappedReducer::on_layer_backward(nn::Layer& layer) {
+void GradientReducer::on_layer_backward(nn::Layer& layer) {
   // Charge this layer's backward arithmetic first (2x forward, the standard
   // estimate) so the buckets it completes are issued at an honest sim time.
   const double flops = 2.0 * layer.forward_flops();
@@ -172,10 +189,10 @@ void OverlappedReducer::on_layer_backward(nn::Layer& layer) {
   }
 }
 
-void OverlappedReducer::finish() {
+void GradientReducer::finish() {
   // Buckets whose tensors no layer reported (e.g. parameters outside the
   // observed container) go out now, ascending — same boundaries, so still
-  // bit-identical to the sync path.
+  // bit-identical to the blocking form.
   for (std::size_t b = 0; b < n_buckets_; ++b) {
     if (launched_[b] == 0) launch_bucket(b);
   }
@@ -189,18 +206,13 @@ void OverlappedReducer::finish() {
     throw;
   }
   requests_.clear();
-  // Apply the 1/world averaging (and fp16 unpack) per bucket — the exact
-  // post-reduce arithmetic of the synchronous slab path.
-  const float inv_world = 1.0f / static_cast<float>(comm_.size());
-  std::span<float> slab = store_.grad_span();
+  // Decode and average per bucket — the exact post-exchange arithmetic of
+  // the blocking form.
   for (std::size_t b : launched_buckets_) {
-    const std::size_t lo = b * bucket_elems_;
-    std::span<float> range =
-        slab.subspan(lo, std::min(bucket_elems_, slab.size() - lo));
     if (options_.fp16_compression) {
-      decode_half(half_[b], inv_world, range);
+      decode<Half>(b);
     } else {
-      for (float& g : range) g *= inv_world;
+      decode<float>(b);
     }
   }
   launched_buckets_.clear();

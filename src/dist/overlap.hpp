@@ -11,8 +11,10 @@
 //
 // make_hierarchical derives the two sub-communicators from the machine's
 // rank placement and decides eligibility (equal-size groups, both levels
-// non-trivial); callers fall back to the flat path when it reports disabled,
-// so the same call site is correct on any topology.
+// non-trivial).  The library builds it in one place, make_data_hierarchy
+// (distributed.hpp), which yields nothing when the split is disabled: the
+// GradientReducer and ZeroOptimizer then take the flat path, so the same
+// options are correct on any topology.
 #pragma once
 
 #include <algorithm>

@@ -53,20 +53,13 @@ PipelineStage::PipelineStage(Mesh mesh, std::unique_ptr<nn::Sequential> stage,
       stage_(std::move(stage)),
       optimizer_(std::move(optimizer)),
       store_(checked_stage()),
-      options_(options),
       xfer_(mesh_.pipe().dup()) {
   if (!optimizer_) {
     throw std::invalid_argument("PipelineStage: null optimizer");
   }
   store_.attach_optimizer(*optimizer_);
-  comm::Comm& data = mesh_.data();
-  if (data.size() > 1 && options_.allreduce.hierarchical) {
-    hier_ = make_hierarchical(data, options_.allreduce.hierarchy_level);
-    if (!hier_->enabled) hier_.reset();  // flat topology: nothing to exploit
-  }
-  if (data.size() > 1 && options_.allreduce.overlap) {
-    reducer_.emplace(data, store_, options_.allreduce,
-                     hier_ ? &*hier_ : nullptr);
+  if (mesh_.data().size() > 1) {
+    reducer_.emplace(mesh_.data(), store_, options.allreduce);
   }
 }
 
@@ -124,6 +117,7 @@ float PipelineStage::step_classification(
   const int S = mesh_.stages();
   const int s = mesh_.stage();
   comm::Comm& world = mesh_.world();
+  const bool overlapped = reducer_ && reducer_->overlapped();
   store_.zero_grads();
 
   std::vector<Pending> act_pending(static_cast<std::size_t>(M));
@@ -190,7 +184,7 @@ float PipelineStage::step_classification(
     // The last microbatch's backward finalises the accumulated gradients
     // layer by layer (reverse order) — exactly when the overlapped reducer
     // may launch buckets.  Earlier backwards only accumulate.
-    const bool final_grads = i == M - 1 && reducer_.has_value();
+    const bool final_grads = i == M - 1 && overlapped;
     if (final_grads) {
       reducer_->begin_step();
       stage_->set_backward_observer(&*reducer_);
@@ -229,15 +223,11 @@ float PipelineStage::step_classification(
 
   // Data-axis reduction (the overlapped path already drained inside the
   // final backward), then one flat optimizer sweep over the slabs.
-  if (mesh_.data().size() > 1 && !reducer_) {
+  if (reducer_ && !overlapped) {
     obs::ScopedSpan span(obs::Category::Comm, "allreduce_grads",
                          store_.grad_span().size_bytes(), 0,
                          mesh_.data().id());
-    if (hier_) {
-      allreduce_gradients(mesh_.data(), *hier_, store_, options_.allreduce);
-    } else {
-      allreduce_gradients(mesh_.data(), store_, options_.allreduce);
-    }
+    reducer_->reduce();
   }
   {
     obs::ScopedSpan span(obs::Category::Compute, "optimizer");

@@ -29,11 +29,11 @@
 // keeps even that reproducible, but prefer norm-free stages for exactness.
 //
 // Across the mesh's data axis the stage's gradient slab flows through the
-// very same machinery as plain data parallelism: bucketed slab-range
-// allreduce, optional fp16 wire compression, optional hierarchical
-// intra/inter-module composition, and the backward-overlapped
-// OverlappedReducer (installed only for the last microbatch's backward —
-// the one whose completion finalises the accumulated gradients).
+// same GradientReducer as plain data parallelism (bucketed slab ranges,
+// optional fp16 wire, optional hierarchical intra/cross-node composition).
+// Overlapped, it observes only the last microbatch's backward — the one
+// whose completion finalises the accumulated gradients; blocking, it runs
+// once after the schedule.  A single-replica data axis builds no reducer.
 #pragma once
 
 #include <cstdint>
@@ -132,15 +132,15 @@ class PipelineStage {
   std::unique_ptr<nn::Sequential> stage_;
   std::unique_ptr<nn::Optimizer> optimizer_;
   nn::ParamStore store_;
-  PipelineOptions options_;
   /// Dedicated p2p channel for the deferred activation/gradient stream.
   /// Stages post different numbers of deferred ops (first: M, middle: 2M,
   /// last: M), and every deferred op reserves a collective-tag window on
   /// its communicator — on a dup this cannot desynchronise the pipe
   /// communicator's collective sequence (used for the loss/logits bcast).
   comm::Comm xfer_;
-  std::optional<HierarchicalComms> hier_;
-  std::optional<OverlappedReducer> reducer_;
+  /// Data-axis gradient exchange; engaged when the axis has more than one
+  /// replica.
+  std::optional<GradientReducer> reducer_;
   std::uint64_t last_act_bytes_ = 0;
   std::uint64_t last_grad_bytes_ = 0;
 };

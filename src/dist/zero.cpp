@@ -13,10 +13,7 @@ ZeroOptimizer::ZeroOptimizer(comm::Comm& comm,
                              AllreduceOptions options)
     : comm_(comm), inner_(std::move(inner)), options_(options) {
   if (!inner_) throw std::invalid_argument("ZeroOptimizer: null inner");
-  if (options_.hierarchical && comm_.size() > 1) {
-    hier_ = make_hierarchical(comm_, options_.hierarchy_level);
-    if (!hier_->enabled) hier_.reset();  // nothing to exploit: flat path
-  }
+  hier_ = make_data_hierarchy(comm_, options_);
 }
 
 void ZeroOptimizer::initialise(std::size_t total_elems) {
@@ -51,6 +48,40 @@ void ZeroOptimizer::run_phase(std::uint64_t wire_bytes,
   }
 }
 
+// Each phase works on handle copies of the communicators — the snapshot
+// convention of deferred bodies — so the phase is the same code whether
+// run_phase runs it inline or on the progress engine.
+
+template <typename T>
+void ZeroOptimizer::reduce_scatter_levels(std::span<T> data) {
+  if (!hier_) {
+    comm::Comm world = comm_;
+    (void)world.reduce_scatter(data, shard_elems_, comm::ReduceOp::Sum);
+    return;
+  }
+  HierarchicalComms topo = *hier_;
+  (void)topo.intra.reduce_scatter(data, chunk_intra_, comm::ReduceOp::Sum);
+  (void)topo.cross.reduce_scatter(
+      data.subspan(static_cast<std::size_t>(topo.intra.rank()) * chunk_intra_,
+                   chunk_intra_),
+      shard_elems_, comm::ReduceOp::Sum);
+}
+
+template <typename T>
+void ZeroOptimizer::allgather_levels(std::span<T> data) {
+  if (!hier_) {
+    comm::Comm world = comm_;
+    world.allgather_inplace(data, shard_elems_);
+    return;
+  }
+  HierarchicalComms topo = *hier_;
+  topo.cross.allgather_inplace(
+      data.subspan(static_cast<std::size_t>(topo.intra.rank()) * chunk_intra_,
+                   chunk_intra_),
+      shard_elems_);
+  topo.intra.allgather_inplace(data, chunk_intra_);
+}
+
 void ZeroOptimizer::sharded_update(std::span<float> params,
                                    std::span<float> grads) {
   static obs::Counter& reduced_bytes_metric =
@@ -72,51 +103,20 @@ void ZeroOptimizer::sharded_update(std::span<float> params,
   // ---- Phase 1: reduce-scatter the gradients; my shard ends up summed and
   // scaled, in place, at [my_off_, my_off_ + shard_elems_).
   run_phase(phase_bytes, [this, grads, inv_world]() {
-    comm::Comm c = comm_;
-    if (c.size() > 1) {
-      if (!options_.fp16_compression) {
-        if (hier_) {
-          HierarchicalComms topo = *hier_;
-          (void)topo.intra.reduce_scatter(grads, chunk_intra_,
-                                          comm::ReduceOp::Sum);
-          auto sub = grads.subspan(
-              static_cast<std::size_t>(topo.intra.rank()) * chunk_intra_,
-              chunk_intra_);
-          (void)topo.cross.reduce_scatter(sub, shard_elems_,
-                                          comm::ReduceOp::Sum);
-        } else {
-          (void)c.reduce_scatter(grads, shard_elems_, comm::ReduceOp::Sum);
-        }
-        for (std::size_t i = 0; i < shard_elems_; ++i) {
-          grads[my_off_ + i] *= inv_world;
-        }
-        return;
-      }
+    const std::span<float> mine = grads.subspan(my_off_, shard_elems_);
+    if (comm_.size() > 1 && options_.fp16_compression) {
       // fp16 wire: reduce in binary16 (same precision model as the fp16
       // gradient allreduce), unpack only the owned shard.
       wire_.resize(padded_);
       encode_half(grads, wire_);
       const std::span<Half> w(wire_);
-      if (hier_) {
-        HierarchicalComms topo = *hier_;
-        (void)topo.intra.reduce_scatter(w, chunk_intra_, comm::ReduceOp::Sum);
-        auto sub =
-            w.subspan(static_cast<std::size_t>(topo.intra.rank()) *
-                          chunk_intra_,
-                      chunk_intra_);
-        (void)topo.cross.reduce_scatter(sub, shard_elems_,
-                                        comm::ReduceOp::Sum);
-      } else {
-        (void)c.reduce_scatter(w, shard_elems_, comm::ReduceOp::Sum);
-      }
-      decode_half(w.subspan(my_off_, shard_elems_), inv_world,
-                  grads.subspan(my_off_, shard_elems_));
+      reduce_scatter_levels(w);
+      decode_half(w.subspan(my_off_, shard_elems_), inv_world, mine);
       return;
     }
-    // Single rank: the "sum" is the local gradient.
-    for (std::size_t i = 0; i < shard_elems_; ++i) {
-      grads[my_off_ + i] *= inv_world;
-    }
+    // On a single rank the "sum" is the local gradient.
+    if (comm_.size() > 1) reduce_scatter_levels(grads);
+    for (float& g : mine) g *= inv_world;
   });
 
   // ---- Phase 2: inner update rule on this rank's 1/P slice.  Under fp16
@@ -143,35 +143,16 @@ void ZeroOptimizer::sharded_update(std::span<float> params,
   // replica (owner included) installs the wire-format values, so replicas
   // stay bit-identical; the fp32 master stays in param_shard_.
   run_phase(phase_bytes, [this, params]() {
-    comm::Comm c = comm_;
-    if (c.size() == 1) return;
+    if (comm_.size() == 1) return;
     if (!options_.fp16_compression) {
-      if (hier_) {
-        HierarchicalComms topo = *hier_;
-        auto sub = params.subspan(
-            static_cast<std::size_t>(topo.intra.rank()) * chunk_intra_,
-            chunk_intra_);
-        topo.cross.allgather_inplace(sub, shard_elems_);
-        topo.intra.allgather_inplace(params, chunk_intra_);
-      } else {
-        c.allgather_inplace(params, shard_elems_);
-      }
+      allgather_levels(params);
       return;
     }
     wire_.assign(padded_, Half{});
     const std::span<Half> w(wire_);
     encode_half(params.subspan(my_off_, shard_elems_),
                 w.subspan(my_off_, shard_elems_));
-    if (hier_) {
-      HierarchicalComms topo = *hier_;
-      auto sub = w.subspan(
-          static_cast<std::size_t>(topo.intra.rank()) * chunk_intra_,
-          chunk_intra_);
-      topo.cross.allgather_inplace(sub, shard_elems_);
-      topo.intra.allgather_inplace(w, chunk_intra_);
-    } else {
-      c.allgather_inplace(w, shard_elems_);
-    }
+    allgather_levels(w);
     decode_half(w, 1.0f, params);
   });
 

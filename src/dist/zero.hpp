@@ -18,9 +18,11 @@
 //     optimizer, so quantisation never accumulates into the update; every
 //     replica (including the shard owner) installs the same wire-format
 //     values, keeping replicas bit-identical.
-//   - hierarchical: reduce-scatter and allgather decompose into an
-//     intra-group pass over the fast fabric and a cross-group pass over the
-//     gateway (the shard this rank owns moves to the position the two-level
+//   - hierarchical: the same make_data_hierarchy split as GradientReducer.
+//     reduce-scatter and allgather (reduce_scatter_levels /
+//     allgather_levels, one code path for both wire types) decompose into
+//     an intra-node pass over the fast fabric and a cross-node pass (the
+//     shard this rank owns moves to the position the two-level
 //     decomposition dictates — see shard_offset()).
 //   - overlap: each phase is issued as a deferred operation on the progress
 //     engine, so ZeRO wire traffic serialises honestly with every other
@@ -113,6 +115,12 @@ class ZeroOptimizer {
   /// Run one collective phase: deferred through the progress engine under
   /// options_.overlap, inline otherwise.
   void run_phase(std::uint64_t wire_bytes, std::function<void()> body);
+  /// The two collectives of a phase over the padded space @p data, flat or
+  /// through both levels of hier_ (T = float, or Half on the fp16 wire).
+  template <typename T>
+  void reduce_scatter_levels(std::span<T> data);
+  template <typename T>
+  void allgather_levels(std::span<T> data);
 
   comm::Comm& comm_;
   std::unique_ptr<nn::Optimizer> inner_;

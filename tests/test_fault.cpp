@@ -501,6 +501,28 @@ TEST(Resilient, SurvivesMidEpochKillAndMatchesFaultFreeLoss) {
       << "faulted " << faulted.mean_loss << " clean " << clean.mean_loss;
 }
 
+TEST(Resilient, OverlapMatchesBlockingAcrossShrink) {
+  // Recovery abandons in-flight buckets and shrinks the communicator in
+  // place under the live trainer's reducer; the overlapped run must still
+  // follow the blocking run's trajectory bit for bit.
+  const int P = 4;
+  FaultPlan plan;
+  plan.kills.push_back({.world_rank = 2, .step = 5});
+  ResilientOptions blocking;
+  ResilientOptions overlapped;
+  overlapped.allreduce.overlap = true;
+  const RunOutcome a = run_resilient(P, plan, 3, blocking);
+  const RunOutcome b = run_resilient(P, plan, 3, overlapped);
+  EXPECT_EQ(a.report.final_world, P - 1);
+  EXPECT_EQ(b.report.final_world, P - 1);
+  ASSERT_EQ(a.params.size(), b.params.size());
+  ASSERT_FALSE(a.params.empty());
+  for (std::size_t i = 0; i < a.params.size(); ++i) {
+    ASSERT_EQ(a.params[i], b.params[i]) << "param " << i;
+  }
+  EXPECT_EQ(a.mean_loss, b.mean_loss);
+}
+
 TEST(Resilient, SameFaultSeedReplaysBitIdentically) {
   const int P = 4;
   FaultPlan plan;

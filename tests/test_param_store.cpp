@@ -3,6 +3,7 @@
 // oracles, and slab checkpoint round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -316,6 +317,47 @@ TEST(DistSlab, AllreduceMatchesSerialMeanFp32) {
 
 TEST(DistSlab, AllreduceMatchesSerialMeanFp16) {
   expect_slab_allreduce_matches_serial_mean(true);
+}
+
+TEST(DistSlab, ReducerAveragesOverCommShrunkInPlace) {
+  // Recovery reassigns a trainer's communicator in place (Comm::shrink), so
+  // a live GradientReducer must average over the communicator it sees now,
+  // in both forms and both wire types.  Halves {0,1} and {2,3} sum exact
+  // small integers, so the means 1.5 / 3.5 are exact in fp32 and fp16.
+  Runtime rt(Machine::homogeneous(4, 2, test_config(), ComputeProfile{}));
+  rt.run([](Comm& world) {
+    for (const bool fp16 : {false, true}) {
+      Comm comm = world;
+      auto model = odd_model(41);
+      ParamStore store(*model);
+      AllreduceOptions opts;
+      opts.bucket_bytes = 13 * sizeof(float);
+      opts.fp16_compression = fp16;
+      msa::dist::GradientReducer reducer(comm, store, opts);
+      comm = world.split(world.rank() / 2, world.rank());
+      const float expect = world.rank() < 2 ? 1.5f : 3.5f;
+      for (const bool overlapped : {false, true}) {
+        const auto g = store.grad_span();
+        std::fill(g.begin(), g.end(), static_cast<float>(world.rank() + 1));
+        if (overlapped) {
+          reducer.begin_step();
+          reducer.finish();  // launches every bucket, drains, decodes
+        } else {
+          reducer.reduce();
+        }
+        for (float v : g) {
+          ASSERT_EQ(v, expect) << "fp16=" << fp16 << " overlap=" << overlapped;
+        }
+      }
+      // Down to one survivor the blocking form leaves gradients untouched
+      // (no fp16 round trip either).
+      comm = world.split(world.rank(), 0);
+      const auto g = store.grad_span();
+      std::fill(g.begin(), g.end(), 0.1f);
+      reducer.reduce();
+      for (float v : g) ASSERT_EQ(v, 0.1f) << "fp16=" << fp16;
+    }
+  });
 }
 
 TEST(DistSlab, BroadcastSlabMakesReplicasIdentical) {
