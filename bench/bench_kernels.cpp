@@ -42,6 +42,37 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->UseRealTime();
 
+// Products of at most 8 rows against a weight matrix: serving batches and
+// pipeline microbatches through nn::Dense.  tB = 1 is the G * W^T shape of
+// Dense::backward (B stored n x k).
+void BM_GemmSkinny(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto k = static_cast<std::size_t>(state.range(2));
+  const bool trans_b = state.range(3) != 0;
+  tensor::Rng rng(13);
+  tensor::Tensor a = tensor::Tensor::randn({m, k}, rng);
+  tensor::Tensor b = trans_b ? tensor::Tensor::randn({n, k}, rng)
+                             : tensor::Tensor::randn({k, n}, rng);
+  tensor::Tensor c({m, n});
+  for (auto _ : state) {
+    tensor::gemm(false, trans_b, 1.0f, a, b, 0.0f, c);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      tensor::gemm_flops(m, n, k) * static_cast<double>(state.iterations()) /
+          1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_GemmSkinny)
+    ->ArgNames({"m", "n", "k", "tB"})
+    ->Args({4, 768, 768, 0})
+    ->Args({4, 768, 768, 1})
+    ->Args({8, 256, 512, 0})
+    ->Args({8, 512, 64, 0})
+    ->Args({1, 256, 512, 0})
+    ->UseRealTime();
+
 // Conv2D shapes as (in_ch, out_ch, hw, B), 3x3 kernel, stride 1, pad 1:
 // 8->16 at 16x16, B=4, plus make_resnet_rs stage 0 (16->16 at 16x16) and
 // stage 2 (64->64 at 4x4) at dp_resnet's microbatch of 8.  Only stage 2

@@ -156,4 +156,8 @@ double DistributedTrainer::average_metric(double value) {
   return v[0] / comm_.size();
 }
 
+void DistributedTrainer::rebuild() {
+  if (reducer_) reducer_->rebuild_hierarchy();
+}
+
 }  // namespace msa::dist

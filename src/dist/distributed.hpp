@@ -89,6 +89,11 @@ class GradientReducer : public nn::BackwardObserver {
   /// (no-op once the communicator has shrunk to one rank).
   void reduce();
 
+  /// Re-derive the hierarchy over the communicator as it is now (recovery
+  /// reseats it in place over the survivors).  Collective when
+  /// options.hierarchical is set; no communication otherwise.
+  void rebuild_hierarchy();
+
   /// True when the owner drives the overlapped form (options.overlap).
   [[nodiscard]] bool overlapped() const { return options_.overlap; }
 
@@ -224,6 +229,11 @@ class DistributedTrainer {
 
   /// Average of a scalar across ranks (for loss/metric reporting).
   [[nodiscard]] double average_metric(double value);
+
+  /// Re-wire the gradient exchange after the communicator was reseated in
+  /// place (ResilientTrainer recovery).  Collective only under
+  /// options.hierarchical.
+  void rebuild();
 
   /// Scale applied to the loss gradient before backward.  Under weighted
   /// (throughput-aware) micro-batching each rank's gradient is a mean over a

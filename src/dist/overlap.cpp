@@ -129,6 +129,10 @@ void GradientReducer::reduce() {
   }
 }
 
+void GradientReducer::rebuild_hierarchy() {
+  if (options_.hierarchical) hier_ = make_data_hierarchy(comm_, options_);
+}
+
 void GradientReducer::begin_step() {
   if (!requests_.empty()) {
     throw std::logic_error(

@@ -140,8 +140,9 @@ class ResilientStrategy {
 };
 
 /// The default strategy: plain data parallelism via DistributedTrainer.
-/// Snapshot blob = this rank's slabs (all replicas identical); rebuild is a
-/// no-op because every collective adapts to the shrunken communicator.
+/// Snapshot blob = this rank's slabs (all replicas identical); every flat
+/// collective adapts to the shrunken communicator, and rebuild re-derives
+/// the reducer's intra/cross-node split when the exchange is hierarchical.
 class DataParallelStrategy final : public ResilientStrategy {
  public:
   /// @p comm must be the resilience loop's owned handle: the strategy keeps
@@ -162,7 +163,7 @@ class DataParallelStrategy final : public ResilientStrategy {
   void load_state(const StateBlob& blob) override;
   void align_initial() override;
   void align_restored() override;
-  void rebuild() override {}
+  void rebuild() override { trainer_.rebuild(); }
   double average_metric(double value) override {
     return trainer_.average_metric(value);
   }

@@ -399,14 +399,14 @@ struct RunOutcome {
 
 /// Drive ResilientTrainer over a fixed dataset; optionally arm @p plan.
 RunOutcome run_resilient(int P, const FaultPlan& plan, int epochs = 3,
-                         ResilientOptions options = {}) {
+                         ResilientOptions options = {}, int per_node = 4) {
   const std::size_t N = 64, features = 6, classes = 3;
   Rng data_rng(21);
   Tensor x = Tensor::randn({N, features}, data_rng);
   std::vector<std::int32_t> y(N);
   for (auto& v : y) v = static_cast<std::int32_t>(data_rng.uniform_index(classes));
 
-  Runtime rt = make_runtime(P);
+  Runtime rt = make_runtime(P, per_node);
   FaultInjector::arm(rt, plan);
   RunOutcome out;
   std::mutex m;
@@ -521,6 +521,29 @@ TEST(Resilient, OverlapMatchesBlockingAcrossShrink) {
     ASSERT_EQ(a.params[i], b.params[i]) << "param " << i;
   }
   EXPECT_EQ(a.mean_loss, b.mean_loss);
+}
+
+TEST(Resilient, HierarchicalSurvivesKill) {
+  // Two ranks per node, so the reducer splits intra/cross-node.  Recovery
+  // must re-derive that split over the survivors (3 ranks: unequal nodes,
+  // so the exchange falls back to flat) instead of reusing the pre-failure
+  // communicators that still name the dead rank.
+  const int P = 4;
+  const RunOutcome clean = run_resilient(P, FaultPlan{});
+  FaultPlan plan;
+  plan.kills.push_back({.world_rank = 2, .step = 5});
+  for (const bool overlap : {false, true}) {
+    ResilientOptions options;
+    options.allreduce.hierarchical = true;
+    options.allreduce.overlap = overlap;
+    const RunOutcome faulted = run_resilient(P, plan, 3, options, 2);
+    EXPECT_GE(faulted.report.recoveries, 1) << "overlap=" << overlap;
+    EXPECT_EQ(faulted.report.final_world, P - 1) << "overlap=" << overlap;
+    EXPECT_TRUE(std::isfinite(faulted.mean_loss)) << "overlap=" << overlap;
+    EXPECT_NEAR(faulted.mean_loss, clean.mean_loss, 0.35)
+        << "overlap=" << overlap << " faulted " << faulted.mean_loss
+        << " clean " << clean.mean_loss;
+  }
 }
 
 TEST(Resilient, SameFaultSeedReplaysBitIdentically) {

@@ -93,6 +93,56 @@ TEST(TensorPar, GemmBitIdenticalAcrossThreadCounts) {
   ASSERT_EQ(0, std::memcmp(c1.data(), c8.data(), c1.numel() * sizeof(float)));
 }
 
+TEST(TensorPar, SkinnyGemmMatchesTallProductRows) {
+  // A product of at most two 4-row panels reads B in place (packing only a
+  // ragged last column panel); one of m + 12 rows always packs B.  Rows
+  // 0..m-1 of the tall product must match the skinny one bit for bit, for
+  // ragged widths, depths across the 256-deep block, a padded row stride,
+  // alpha != 1 and an accumulating beta.
+  ParGuard guard;
+  constexpr std::size_t kExtraRows = 12;
+  // Below 48^3 multiply-adds gemm_raw takes the scalar kernel instead
+  // (kPackedThreshold in tensor/ops.cpp); only packed shapes compare here.
+  constexpr std::size_t kPackedThreshold = 48 * 48 * 48;
+  std::size_t cases = 0;
+  for (const std::size_t threads : {1, 8}) {
+    msa::par::set_num_threads(threads);
+    for (std::size_t m = 1; m <= 8; ++m) {
+      for (const std::size_t n : {32, 45, 64, 100, 512}) {
+        for (const std::size_t k : {200, 256, 257, 700}) {
+          if (m * n * k <= kPackedThreshold) continue;
+          for (const std::size_t ldb : {n, n + 7}) {
+            const std::size_t tall = m + kExtraRows;
+            Rng rng(1000 * m + 10 * n + k + ldb);
+            const Tensor a = Tensor::randn({tall, k}, rng);
+            const Tensor b = Tensor::randn({k, ldb}, rng);
+            const Tensor c0 = Tensor::randn({tall, n}, rng);
+            for (const float alpha : {1.0f, 0.75f}) {
+              for (const float beta : {0.0f, 1.0f}) {
+                Tensor skinny({m, n});
+                std::memcpy(skinny.data(), c0.data(), m * n * sizeof(float));
+                Tensor oracle = c0;
+                msa::tensor::gemm_raw(false, false, m, n, k, alpha, a.data(),
+                                      k, b.data(), ldb, beta, skinny.data());
+                msa::tensor::gemm_raw(false, false, tall, n, k, alpha,
+                                      a.data(), k, b.data(), ldb, beta,
+                                      oracle.data());
+                ASSERT_EQ(0, std::memcmp(skinny.data(), oracle.data(),
+                                         m * n * sizeof(float)))
+                    << "threads=" << threads << " m=" << m << " n=" << n
+                    << " k=" << k << " ldb=" << ldb << " alpha=" << alpha
+                    << " beta=" << beta;
+                ++cases;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 1088u);
+}
+
 TEST(TensorPar, TransposeMatchesNaive) {
   ParGuard guard;
   msa::par::set_num_threads(4);
