@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the computational kernels under
 // everything else: GEMM, im2col convolution, GRU steps, the message-passing
-// collectives (real wall time), the fp16 wire codec, SMO iterations and
-// annealer sweeps.
+// collectives (real wall time), the fp16 wire codec, SMO iterations,
+// annealer sweeps and weight-init normal sampling.
 //
 // These are host-wall-time numbers (not the simulated clock) — they justify
 // the per-step costs the examples/benches pay and catch kernel regressions.
@@ -10,7 +10,9 @@
 // main thread's CPU time.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "comm/runtime.hpp"
 #include "data/synthetic.hpp"
@@ -264,6 +266,35 @@ void BM_Im2Col(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Im2Col)->UseRealTime();
+
+// Weight init: Rng::fill_normal (what Tensor::randn calls) against the
+// scalar Rng::normal loop it replaced, which gives the same floats.  Arg 0
+// is the element count (the serve MLP's 512 x 256 layer; 2^20), arg 1
+// selects bulk (1) or scalar (0).
+void BM_Randn(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const bool bulk = state.range(1) != 0;
+  tensor::Rng rng(7);
+  std::vector<float> w(n);
+  const float stddev = std::sqrt(2.0f / static_cast<float>(state.range(0)));
+  for (auto _ : state) {
+    if (bulk) {
+      rng.fill_normal(w, stddev);
+    } else {
+      for (float& v : w) v = static_cast<float>(rng.normal()) * stddev;
+    }
+    benchmark::DoNotOptimize(w.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["items/s"] = benchmark::Counter(
+      static_cast<double>(n) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_Randn)
+    ->Args({512 * 256, 0})
+    ->Args({512 * 256, 1})
+    ->Args({1 << 20, 0})
+    ->Args({1 << 20, 1});
 
 }  // namespace
 

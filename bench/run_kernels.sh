@@ -17,7 +17,7 @@ cmake --build "$BUILD" -j --target bench_kernels --target bench_dist_step >/dev/
 
 RAW="$BUILD/bench_kernels_raw.json"
 "$BUILD/bench/bench_kernels" \
-  --benchmark_filter='BM_Gemm|BM_Conv2D|BM_Transpose|BM_Im2Col|BM_HalfEncodeDecode|BM_Allreduce' \
+  --benchmark_filter='BM_Gemm|BM_Conv2D|BM_Transpose|BM_Im2Col|BM_HalfEncodeDecode|BM_Allreduce|BM_Randn' \
   --benchmark_format=json >"$RAW"
 
 RAW_DIST="$BUILD/bench_dist_step_raw.json"
@@ -43,6 +43,8 @@ for raw_path in raw_paths:
             entry["gbps"] = round(b["GB/s"], 3)
         if "MB/s" in b:
             entry["mbps"] = round(b["MB/s"], 3)
+        if "items/s" in b:
+            entry["items_per_s"] = round(b["items/s"], 1)
         if "grad GB/s" in b:
             entry["grad_gbps"] = round(b["grad GB/s"], 3)
         results[b["name"]] = entry

@@ -43,6 +43,8 @@ ImageDataset make_multispectral(const MultispectralConfig& cfg) {
   }
 
   const std::size_t hw = cfg.patch * cfg.patch;
+  const std::size_t block = cfg.bands * hw;
+  std::vector<float> noise(block);  // one sample's unit noise, pixel order
   for (std::size_t i = 0; i < cfg.samples; ++i) {
     const auto cls = static_cast<std::size_t>(rng.uniform_index(cfg.classes));
     ds.labels[i] = static_cast<std::int32_t>(cls);
@@ -50,8 +52,10 @@ ImageDataset make_multispectral(const MultispectralConfig& cfg) {
     // Low-frequency spatial texture shared across bands (terrain shading).
     const double fx = rng.uniform(0.5, 2.0), fy = rng.uniform(0.5, 2.0);
     const double phase = rng.uniform(0.0, 6.28);
+    rng.fill_normal(noise, 1.0f);
+    float* sample = ds.images.data() + i * block;
     for (std::size_t b = 0; b < cfg.bands; ++b) {
-      float* plane = ds.images.data() + (i * cfg.bands + b) * hw;
+      float* plane = sample + b * hw;
       for (std::size_t yy = 0; yy < cfg.patch; ++yy) {
         for (std::size_t xx = 0; xx < cfg.patch; ++xx) {
           const double tex =
@@ -59,10 +63,16 @@ ImageDataset make_multispectral(const MultispectralConfig& cfg) {
                              fy * yy * 2.0 * std::numbers::pi / cfg.patch +
                              phase);
           plane[yy * cfg.patch + xx] =
-              illum * (signatures[cls][b] + static_cast<float>(tex)) +
-              cfg.noise * static_cast<float>(rng.normal());
+              illum * (signatures[cls][b] + static_cast<float>(tex));
         }
       }
+    }
+    // Adding the noise in its own pass over the stored signal leaves
+    // noise * n the only product an FMA-contracting build can fuse into the
+    // sum, so every build yields the bytes of the per-pixel normal()
+    // formulation (tests/test_rng.cpp).
+    for (std::size_t k = 0; k < block; ++k) {
+      sample[k] = sample[k] + cfg.noise * noise[k];
     }
   }
   return ds;
@@ -235,14 +245,20 @@ TabularDataset make_tabular(std::size_t n, std::size_t d, std::size_t classes,
   ds.num_classes = classes;
   ds.x = Tensor({n, d});
   ds.y.resize(n);
+  // Row-major, so one bulk draw gives every row the values a per-element
+  // normal() loop would.
+  rng.fill_normal(ds.x.flat(), 1.0f);
   for (std::size_t i = 0; i < n; ++i) {
+    const float* row = ds.x.data() + i * d;
     double score = 0.0;
     for (std::size_t j = 0; j < d; ++j) {
-      const float v = static_cast<float>(rng.normal());
-      ds.x.at2(i, j) = v;
-      // Non-linear interactions so trees beat linear models.
+      const float v = row[j];
+      // Non-linear interactions so trees beat linear models.  The partner
+      // column counts only once drawn (k <= j); a later one reads as 0.
       score += (j % 2 == 0 ? 1.0 : -1.0) * (v > 0.3f ? 1.0 : 0.0);
-      if (j + 1 < d) score += 0.5 * (v * ds.x.at2(i, (j + 7) % d) > 0 ? 1 : 0);
+      const std::size_t k = (j + 7) % d;
+      const float partner = k <= j ? row[k] : 0.0f;
+      if (j + 1 < d) score += 0.5 * (v * partner > 0 ? 1 : 0);
     }
     const double q = score / (1.5 * static_cast<double>(d));
     auto cls = static_cast<std::int64_t>((q + 1.0) * 0.5 *

@@ -7,8 +7,26 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 namespace msa::tensor {
+
+namespace detail {
+
+struct NormalPair {
+  double cos_part;
+  double sin_part;
+};
+
+/// The Box-Muller transform through libm: Rng::normal returns cos_part and
+/// caches sin_part; Rng::fill_normal's fallback recomputes with it.
+inline NormalPair box_muller_libm(double u1, double u2) {
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 6.283185307179586 * u2;
+  return {r * std::cos(theta), r * std::sin(theta)};
+}
+
+}  // namespace detail
 
 /// xoshiro256** by Blackman & Vigna — small, fast, excellent statistics.
 class Rng {
@@ -62,12 +80,17 @@ class Rng {
     double u1 = 0.0;
     while (u1 <= 1e-12) u1 = uniform();
     const double u2 = uniform();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 6.283185307179586 * u2;
-    cached_ = r * std::sin(theta);
+    const detail::NormalPair y = detail::box_muller_libm(u1, u2);
+    cached_ = y.sin_part;
     has_cached_ = true;
-    return r * std::cos(theta);
+    return y.cos_part;
   }
+
+  /// out[i] = static_cast<float>(normal()) * stddev for every i, bit for bit,
+  /// leaving the generator in the state the scalar loop leaves it in (cached
+  /// value included), at a fraction of its cost: whole pairs go through a
+  /// vectorised transform in stack-held blocks (see tensor/box_muller.hpp).
+  void fill_normal(std::span<float> out, float stddev);
 
   double normal(double mean, double stddev) {
     return mean + stddev * normal();

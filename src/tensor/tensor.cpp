@@ -65,7 +65,7 @@ Tensor Tensor::full(Shape shape, float value) {
 
 Tensor Tensor::randn(Shape shape, Rng& rng, float stddev) {
   Tensor t(std::move(shape));
-  for (float& v : t.flat()) v = static_cast<float>(rng.normal()) * stddev;
+  rng.fill_normal(t.flat(), stddev);
   return t;
 }
 
