@@ -20,6 +20,7 @@
 #include "ml/svm.hpp"
 #include "nn/conv.hpp"
 #include "nn/gru.hpp"
+#include "nn/optimizer.hpp"
 #include "quantum/qubo.hpp"
 #include "tensor/ops.hpp"
 
@@ -70,6 +71,8 @@ BENCHMARK(BM_GemmSkinny)
     ->ArgNames({"m", "n", "k", "tB"})
     ->Args({4, 768, 768, 0})
     ->Args({4, 768, 768, 1})
+    ->Args({4, 64, 768, 1})
+    ->Args({8, 256, 512, 1})
     ->Args({8, 256, 512, 0})
     ->Args({8, 512, 64, 0})
     ->Args({1, 256, 512, 0})
@@ -295,6 +298,27 @@ BENCHMARK(BM_Randn)
     ->Args({512 * 256, 1})
     ->Args({1 << 20, 0})
     ->Args({1 << 20, 1});
+
+// One Adam step over a 640k-parameter slab through step_flat, the path
+// ParamStore takes: about one hybrid_pp pipeline stage (64 -> 768 -> 768).
+void BM_AdamStep(benchmark::State& state) {
+  constexpr std::size_t n = 640'000;
+  tensor::Rng rng(17);
+  tensor::Tensor p = tensor::Tensor::randn({n}, rng, 0.1f);
+  tensor::Tensor g = tensor::Tensor::randn({n}, rng, 0.01f);
+  std::vector<float> moments(2 * n, 0.0f);
+  nn::Adam adam(1e-3, 0.9, 0.999, 1e-8, 1e-4);
+  adam.materialize_state({&p});
+  for (auto _ : state) {
+    adam.step_flat({p.data(), n}, {g.data(), n}, moments);
+    benchmark::DoNotOptimize(p.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["items/s"] = benchmark::Counter(
+      static_cast<double>(n) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_AdamStep)->UseRealTime();
 
 }  // namespace
 

@@ -17,7 +17,7 @@ cmake --build "$BUILD" -j --target bench_kernels --target bench_dist_step >/dev/
 
 RAW="$BUILD/bench_kernels_raw.json"
 "$BUILD/bench/bench_kernels" \
-  --benchmark_filter='BM_Gemm|BM_Conv2D|BM_Transpose|BM_Im2Col|BM_HalfEncodeDecode|BM_Allreduce|BM_Randn' \
+  --benchmark_filter='BM_Gemm|BM_Conv2D|BM_Transpose|BM_Im2Col|BM_HalfEncodeDecode|BM_Allreduce|BM_Randn|BM_AdamStep' \
   --benchmark_format=json >"$RAW"
 
 RAW_DIST="$BUILD/bench_dist_step_raw.json"

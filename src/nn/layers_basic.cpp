@@ -31,8 +31,10 @@ Tensor Dense::forward(const Tensor& x, bool /*training*/) {
   x_cache_ = x;
   Tensor y = tensor::matmul(x, w_);
   if (has_bias_) {
+    const float* b = b_.data();
     for (std::size_t i = 0; i < y.dim(0); ++i) {
-      for (std::size_t j = 0; j < out_; ++j) y.at2(i, j) += b_[j];
+      float* row = y.data() + i * out_;
+      for (std::size_t j = 0; j < out_; ++j) row[j] += b[j];
     }
   }
   flops_ = tensor::gemm_flops(x.dim(0), out_, in_);
@@ -44,8 +46,10 @@ Tensor Dense::backward(const Tensor& grad_out) {
   tensor::gemm(/*trans_a=*/true, /*trans_b=*/false, 1.0f, x_cache_, grad_out,
                1.0f, gw_);
   if (has_bias_) {
+    float* gb = gb_.data();
     for (std::size_t i = 0; i < grad_out.dim(0); ++i) {
-      for (std::size_t j = 0; j < out_; ++j) gb_[j] += grad_out.at2(i, j);
+      const float* row = grad_out.data() + i * out_;
+      for (std::size_t j = 0; j < out_; ++j) gb[j] += row[j];
     }
   }
   Tensor gx({grad_out.dim(0), in_});

@@ -11,6 +11,40 @@ namespace {
 // Parameter updates are elementwise, so chunked execution is deterministic.
 constexpr std::size_t kOptGrain = 1 << 14;
 
+// The sweeps take their pointers and coefficients by value.  Read through
+// a lambda's by-reference captures, Adam's loop stayed scalar (GCC: "no
+// vectype for stmt"); its sqrt also needs msa_nn's -fno-math-errno.
+// Vector and scalar code round every operation alike, so the result bits
+// do not depend on which one runs.
+struct SgdCoeffs {
+  float lr, mu, wd;
+  bool nesterov;
+};
+
+void sgd_sweep(float* p, const float* g, float* v, std::size_t n,
+               SgdCoeffs c) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const float grad = g[j] + c.wd * p[j];
+    v[j] = c.mu * v[j] + grad;
+    const float update = c.nesterov ? grad + c.mu * v[j] : v[j];
+    p[j] -= c.lr * update;
+  }
+}
+
+struct AdamCoeffs {
+  float lr, b1, b2, wd, eps;
+};
+
+void adam_sweep(float* p, const float* g, float* m, float* v, std::size_t n,
+                AdamCoeffs c) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const float grad = g[j] + c.wd * p[j];
+    m[j] = c.b1 * m[j] + (1.0f - c.b1) * grad;
+    v[j] = c.b2 * v[j] + (1.0f - c.b2) * grad * grad;
+    p[j] -= c.lr * m[j] / (std::sqrt(v[j]) + c.eps);
+  }
+}
+
 void ensure_state(std::vector<Tensor>& state,
                   const std::vector<Tensor*>& params) {
   if (state.empty()) {
@@ -32,21 +66,14 @@ bool Sgd::step_flat(std::span<float> params, std::span<float> grads,
       grads.size() != params.size()) {
     return false;
   }
-  const auto lr = static_cast<float>(lr_);
-  const auto mu = static_cast<float>(momentum_);
-  const auto wd = static_cast<float>(weight_decay_);
+  const SgdCoeffs c{static_cast<float>(lr_), static_cast<float>(momentum_),
+                    static_cast<float>(weight_decay_), nesterov_};
   float* p = params.data();
   const float* g = grads.data();
   float* v = state.data();
   par::parallel_for(0, params.size(), kOptGrain,
-                    [&](std::size_t b, std::size_t e) {
-                      for (std::size_t j = b; j < e; ++j) {
-                        const float grad = g[j] + wd * p[j];
-                        v[j] = mu * v[j] + grad;
-                        const float update =
-                            nesterov_ ? grad + mu * v[j] : v[j];
-                        p[j] -= lr * update;
-                      }
+                    [=](std::size_t b, std::size_t e) {
+                      sgd_sweep(p + b, g + b, v + b, e - b, c);
                     });
   return true;
 }
@@ -57,22 +84,15 @@ void Sgd::step(const std::vector<Tensor*>& params,
     throw std::invalid_argument("Sgd::step: list size mismatch");
   }
   ensure_state(velocity_, params);
+  const SgdCoeffs c{static_cast<float>(lr_), static_cast<float>(momentum_),
+                    static_cast<float>(weight_decay_), nesterov_};
   for (std::size_t i = 0; i < params.size(); ++i) {
-    Tensor& p = *params[i];
-    const Tensor& g = *grads[i];
-    Tensor& v = velocity_[i];
-    const auto lr = static_cast<float>(lr_);
-    const auto mu = static_cast<float>(momentum_);
-    const auto wd = static_cast<float>(weight_decay_);
-    par::parallel_for(0, p.numel(), kOptGrain,
-                      [&](std::size_t b, std::size_t e) {
-                        for (std::size_t j = b; j < e; ++j) {
-                          const float grad = g[j] + wd * p[j];
-                          v[j] = mu * v[j] + grad;
-                          const float update =
-                              nesterov_ ? grad + mu * v[j] : v[j];
-                          p[j] -= lr * update;
-                        }
+    float* p = params[i]->data();
+    const float* g = grads[i]->data();
+    float* v = velocity_[i].data();
+    par::parallel_for(0, params[i]->numel(), kOptGrain,
+                      [=](std::size_t b, std::size_t e) {
+                        sgd_sweep(p + b, g + b, v + b, e - b, c);
                       });
   }
 }
@@ -92,24 +112,18 @@ bool Adam::step_flat(std::span<float> params, std::span<float> grads,
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  const auto lr = static_cast<float>(lr_ * std::sqrt(bc2) / bc1);
-  const auto b1 = static_cast<float>(beta1_);
-  const auto b2 = static_cast<float>(beta2_);
-  const auto wd = static_cast<float>(weight_decay_);
-  const auto eps = static_cast<float>(eps_);
+  const AdamCoeffs c{static_cast<float>(lr_ * std::sqrt(bc2) / bc1),
+                     static_cast<float>(beta1_), static_cast<float>(beta2_),
+                     static_cast<float>(weight_decay_),
+                     static_cast<float>(eps_)};
   float* p = params.data();
   const float* g = grads.data();
   float* m = state.data();
   float* v = state.data() + params.size();
-  par::parallel_for(
-      0, params.size(), kOptGrain, [&](std::size_t b, std::size_t e) {
-        for (std::size_t j = b; j < e; ++j) {
-          const float grad = g[j] + wd * p[j];
-          m[j] = b1 * m[j] + (1.0f - b1) * grad;
-          v[j] = b2 * v[j] + (1.0f - b2) * grad * grad;
-          p[j] -= lr * m[j] / (std::sqrt(v[j]) + eps);
-        }
-      });
+  par::parallel_for(0, params.size(), kOptGrain,
+                    [=](std::size_t b, std::size_t e) {
+                      adam_sweep(p + b, g + b, m + b, v + b, e - b, c);
+                    });
   return true;
 }
 
@@ -123,25 +137,19 @@ void Adam::step(const std::vector<Tensor*>& params,
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  const auto lr = static_cast<float>(lr_ * std::sqrt(bc2) / bc1);
+  const AdamCoeffs c{static_cast<float>(lr_ * std::sqrt(bc2) / bc1),
+                     static_cast<float>(beta1_), static_cast<float>(beta2_),
+                     static_cast<float>(weight_decay_),
+                     static_cast<float>(eps_)};
   for (std::size_t i = 0; i < params.size(); ++i) {
-    Tensor& p = *params[i];
-    const Tensor& g = *grads[i];
-    Tensor& m = m_[i];
-    Tensor& v = v_[i];
-    const auto b1 = static_cast<float>(beta1_);
-    const auto b2 = static_cast<float>(beta2_);
-    const auto wd = static_cast<float>(weight_decay_);
-    const auto eps = static_cast<float>(eps_);
-    par::parallel_for(
-        0, p.numel(), kOptGrain, [&](std::size_t b, std::size_t e) {
-          for (std::size_t j = b; j < e; ++j) {
-            const float grad = g[j] + wd * p[j];
-            m[j] = b1 * m[j] + (1.0f - b1) * grad;
-            v[j] = b2 * v[j] + (1.0f - b2) * grad * grad;
-            p[j] -= lr * m[j] / (std::sqrt(v[j]) + eps);
-          }
-        });
+    float* p = params[i]->data();
+    const float* g = grads[i]->data();
+    float* m = m_[i].data();
+    float* v = v_[i].data();
+    par::parallel_for(0, params[i]->numel(), kOptGrain,
+                      [=](std::size_t b, std::size_t e) {
+                        adam_sweep(p + b, g + b, m + b, v + b, e - b, c);
+                      });
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "par/pool.hpp"
@@ -25,6 +26,14 @@ constexpr std::size_t kNR = 16;  // 8 ymm accumulators
 constexpr std::size_t kNR = 8;  // 8 xmm accumulators (SSE2 baseline)
 #endif
 constexpr std::size_t kKC = 256;  // packed-panel depth
+// Transposed B is packed in square kT x kT tiles, one native SIMD vector per
+// tile row, so a kNR-wide panel is two tiles across.
+constexpr std::size_t kT = kNR / 2;
+using TileRow = float __attribute__((vector_size(kT * sizeof(float))));
+// Least work, in micro-kernel multiply-adds, of one chunk of a skinny
+// product's column panels: smaller products stay on the calling thread,
+// where waking the pool would cost more than it saves.
+constexpr std::size_t kSkinnyChunkMacs = 1 << 19;
 // Below this many multiply-adds the packing overhead dominates; use the
 // serial scalar kernel.
 constexpr std::size_t kPackedThreshold = 48 * 48 * 48;
@@ -114,8 +123,79 @@ void pack_a_panel(const float* A, std::size_t lda, bool trans, float alpha,
   }
 }
 
-// Pack op(B) rows [p0, p1) across the full width n into kNR-wide panels,
-// zero-padded in the column direction.
+// Butterfly step D of a tile transpose: rows i and i + D (bit D of i clear)
+// trade the lanes whose index has bit D set, which swaps bit D of the row
+// index with bit D of the lane index.  Steps 1, 2, ..., kT / 2 swap them
+// all: element (i, j) ends at (j, i).
+template <std::size_t D, std::size_t... J>
+inline void transpose_step(TileRow (&r)[kT], std::index_sequence<J...>) {
+#pragma GCC unroll 16
+  for (std::size_t i = 0; i < kT; ++i) {
+    if (i & D) continue;
+    const TileRow x = r[i];
+    const TileRow y = r[i + D];
+    r[i] = __builtin_shufflevector(x, y, ((J & D) ? kT + (J ^ D) : J)...);
+    r[i + D] = __builtin_shufflevector(x, y, ((J & D) ? kT + J : J ^ D)...);
+  }
+}
+
+template <std::size_t D = 1>
+inline void transpose_tile(TileRow (&r)[kT]) {
+  transpose_step<D>(r, std::make_index_sequence<kT>{});
+  if constexpr (2 * D < kT) transpose_tile<2 * D>(r);
+}
+
+// Pack kNR columns [j0, j0 + kNR) of op(B) = B^T for the whole tiles of
+// depth [p0, p0 + kc): kT rows of B are read at a time, transposed in
+// registers and stored as whole panel rows.  Returns the depth packed.
+std::size_t pack_bt_tiles(const float* B, std::size_t ldb, std::size_t p0,
+                          std::size_t kc, std::size_t j0, float* dst) {
+  const std::size_t tiled = kc - kc % kT;
+  for (std::size_t p = 0; p < tiled; p += kT) {
+    for (std::size_t h = 0; h < kNR; h += kT) {
+      TileRow r[kT];
+#pragma GCC unroll 16
+      for (std::size_t t = 0; t < kT; ++t) {
+        std::memcpy(&r[t], B + (j0 + h + t) * ldb + p0 + p, sizeof(TileRow));
+      }
+      transpose_tile(r);
+#pragma GCC unroll 16
+      for (std::size_t t = 0; t < kT; ++t) {
+        std::memcpy(dst + (p + t) * kNR + h, &r[t], sizeof(TileRow));
+      }
+    }
+  }
+  return tiled;
+}
+
+// Pack columns [j0, j0 + jn) of op(B), jn <= kNR, for depth [p0, p0 + kc)
+// into one kc x kNR panel, zero-padded in the column direction.  With B
+// transposed, a full panel goes through register tiles and the depth they
+// leave (and all of a ragged panel) is copied along the rows of B.
+void pack_b_panel(const float* B, std::size_t ldb, bool trans, std::size_t p0,
+                  std::size_t kc, std::size_t j0, std::size_t jn,
+                  float* dst) {
+  if (!trans) {
+    for (std::size_t p = 0; p < kc; ++p) {
+      const float* src = B + (p0 + p) * ldb + j0;
+      float* d = dst + p * kNR;
+      for (std::size_t jr = 0; jr < jn; ++jr) d[jr] = src[jr];
+      for (std::size_t jr = jn; jr < kNR; ++jr) d[jr] = 0.0f;
+    }
+    return;
+  }
+  const std::size_t done =
+      jn == kNR ? pack_bt_tiles(B, ldb, p0, kc, j0, dst) : 0;
+  for (std::size_t jr = 0; jr < jn; ++jr) {
+    const float* src = B + (j0 + jr) * ldb + p0;
+    for (std::size_t p = done; p < kc; ++p) dst[p * kNR + jr] = src[p];
+  }
+  for (std::size_t p = done; p < kc; ++p) {
+    for (std::size_t jr = jn; jr < kNR; ++jr) dst[p * kNR + jr] = 0.0f;
+  }
+}
+
+// Pack op(B) rows [p0, p1) across the full width n into kNR-wide panels.
 void pack_b(const float* B, std::size_t ldb, bool trans, std::size_t p0,
             std::size_t p1, std::size_t n, float* Bp) {
   const std::size_t kc = p1 - p0;
@@ -123,21 +203,8 @@ void pack_b(const float* B, std::size_t ldb, bool trans, std::size_t p0,
   par::parallel_for(0, npanels, 4, [&](std::size_t jb, std::size_t je) {
     for (std::size_t jp = jb; jp < je; ++jp) {
       const std::size_t j0 = jp * kNR;
-      const std::size_t jn = std::min(kNR, n - j0);
-      float* panel = Bp + jp * kc * kNR;
-      for (std::size_t p = 0; p < kc; ++p) {
-        const std::size_t pp = p0 + p;
-        float* dst = panel + p * kNR;
-        if (!trans) {
-          const float* src = B + pp * ldb + j0;
-          for (std::size_t jr = 0; jr < jn; ++jr) dst[jr] = src[jr];
-        } else {
-          for (std::size_t jr = 0; jr < jn; ++jr) {
-            dst[jr] = B[(j0 + jr) * ldb + pp];
-          }
-        }
-        for (std::size_t jr = jn; jr < kNR; ++jr) dst[jr] = 0.0f;
-      }
+      pack_b_panel(B, ldb, trans, p0, kc, j0, std::min(kNR, n - j0),
+                   Bp + jp * kc * kNR);
     }
   });
 }
@@ -161,60 +228,105 @@ inline void microkernel(const float* Ap, const float* Bp, std::size_t ldb,
   }
 }
 
-// Packed path: pack op(B) per depth block, then parallelise row panels of C
-// across the pool.  Each chunk owns disjoint C rows and the depth-block
-// order is fixed, so the result is bit-identical for any pool size.
-//
+// C rows [i0, i0 + mr), columns [j0, j0 + jn) += the micro-kernel tile.
+inline void add_tile(const float acc[kMR][kNR], std::size_t mr,
+                     std::size_t jn, float* C, std::size_t n, std::size_t i0,
+                     std::size_t j0) {
+  for (std::size_t r = 0; r < mr; ++r) {
+    float* crow = C + (i0 + r) * n + j0;
+    for (std::size_t jr = 0; jr < jn; ++jr) crow[jr] += acc[r][jr];
+  }
+}
+
 // Skinny products (at most two row panels: serving batches, pipeline
 // microbatches) read each B panel only once or twice, so copying all of
-// op(B) costs more than the kernel saves by reading it packed.  When B is
-// not transposed, the full-width panels are read in place at stride ldb and
-// only a ragged last panel (n % kNR != 0) is packed.  Every C element sums
-// the same products in the same order over the same kKC blocks, so the
-// result is bit-identical to the packed one.  The rule stops at two panels:
-// taller products read each panel many times, and reading those in place
-// measured 20-60 % slower (1024^3, 64 x 2048 x 2048, 128 x 4096 x 256) than
-// reading one contiguous copy.
+// op(B) costs more than the kernel saves by reading it packed.  Instead the
+// column panels are split into chunks, each owning disjoint C columns and
+// walking the kKC depth blocks in order.  Per block, a full-width panel of a
+// non-transposed B is read in place at stride ldb; a transposed or ragged
+// one is packed into a stack-held, L1-resident kc x kNR buffer just before
+// the micro-kernel reads it.  Every C element sums the same products in
+// the same order over the same blocks as in gemm_packed, so the two paths
+// agree bit for bit.
+void gemm_skinny(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
+                 std::size_t k, float alpha, const float* A, std::size_t lda,
+                 const float* B, std::size_t ldb, float* C) {
+  const std::size_t npanels_n = (n + kNR - 1) / kNR;
+  const std::size_t nrow_panels = (m + kMR - 1) / kMR;
+  // At most one chunk per pool thread: a chunk reads its own column strip
+  // of B, and on one thread, two strips run one after the other measured
+  // up to 1.5x slower than one pass over whole rows of B.  Chunks own
+  // disjoint C columns, so the split moves no bit.
+  const std::size_t chunks = std::clamp<std::size_t>(
+      std::min(nrow_panels * kMR * npanels_n * kNR * k / kSkinnyChunkMacs,
+               par::num_threads()),
+      1, npanels_n);
+  const std::size_t grain = (npanels_n + chunks - 1) / chunks;
+  par::parallel_for(0, npanels_n, grain, [&](std::size_t jb, std::size_t je) {
+    alignas(64) float Ap[2][kKC * kMR];
+    alignas(64) float Bp[kKC * kNR];
+    float acc[kMR][kNR];
+    for (std::size_t p0 = 0; p0 < k; p0 += kKC) {
+      const std::size_t p1 = std::min(k, p0 + kKC);
+      const std::size_t kc = p1 - p0;
+      for (std::size_t rp = 0; rp < nrow_panels; ++rp) {
+        pack_a_panel(A, lda, trans_a, alpha, rp * kMR, m, p0, p1, Ap[rp]);
+      }
+      for (std::size_t jp = jb; jp < je; ++jp) {
+        const std::size_t j0 = jp * kNR;
+        const std::size_t jn = std::min(kNR, n - j0);
+        const bool in_place = !trans_b && jn == kNR;
+        if (!in_place) pack_b_panel(B, ldb, trans_b, p0, kc, j0, jn, Bp);
+        for (std::size_t rp = 0; rp < nrow_panels; ++rp) {
+          if (in_place) {
+            microkernel(Ap[rp], B + p0 * ldb + j0, ldb, kc, acc);
+          } else {
+            microkernel(Ap[rp], Bp, kNR, kc, acc);
+          }
+          add_tile(acc, std::min(kMR, m - rp * kMR), jn, C, n, rp * kMR, j0);
+        }
+      }
+    }
+  });
+}
+
+// Packed path: pack op(B) per depth block, then parallelise row panels of C
+// across the pool.  Each chunk owns disjoint C rows and the depth-block
+// order is fixed, so the result is bit-identical for any pool size.  The
+// skinny rule stops at two row panels: taller products read each panel
+// many times, and reading those in place measured 20-60 % slower (1024^3,
+// 64 x 2048 x 2048, 128 x 4096 x 256) than reading one contiguous copy.
 void gemm_packed(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                  std::size_t k, float alpha, const float* A, std::size_t lda,
                  const float* B, std::size_t ldb, float* C) {
   const std::size_t npanels_n = (n + kNR - 1) / kNR;
   const std::size_t nrow_panels = (m + kMR - 1) / kMR;
-  // Column panels [0, in_place) read B directly; the rest come packed.
-  const std::size_t in_place = !trans_b && nrow_panels <= 2 ? n / kNR : 0;
-  const std::size_t j_packed = in_place * kNR;
+  if (nrow_panels <= 2) {
+    gemm_skinny(trans_a, trans_b, m, n, k, alpha, A, lda, B, ldb, C);
+    return;
+  }
   // Left uninitialised: pack_b writes every float of a depth block before
   // the micro-kernel reads it.  On the heap, not in the scratch arena,
   // where it would stay resident on every rank thread.
   const auto Bp_buf = std::make_unique_for_overwrite<float[]>(
-      std::min(kKC, k) * (npanels_n - in_place) * kNR);
+      std::min(kKC, k) * npanels_n * kNR);
   float* Bp = Bp_buf.get();
   for (std::size_t p0 = 0; p0 < k; p0 += kKC) {
     const std::size_t p1 = std::min(k, p0 + kKC);
     const std::size_t kc = p1 - p0;
-    if (in_place < npanels_n) {
-      pack_b(B + j_packed, ldb, trans_b, p0, p1, n - j_packed, Bp);
-    }
+    pack_b(B, ldb, trans_b, p0, p1, n, Bp);
     par::parallel_for(0, nrow_panels, 4, [&](std::size_t rb, std::size_t re) {
       par::Scratch scratch;
       float* Ap = scratch.floats(kc * kMR);
       float acc[kMR][kNR];
       for (std::size_t rp = rb; rp < re; ++rp) {
         const std::size_t i0 = rp * kMR;
-        const std::size_t mr = std::min(kMR, m - i0);
         pack_a_panel(A, lda, trans_a, alpha, i0, m, p0, p1, Ap);
         for (std::size_t jp = 0; jp < npanels_n; ++jp) {
+          microkernel(Ap, Bp + jp * kc * kNR, kNR, kc, acc);
           const std::size_t j0 = jp * kNR;
-          if (jp < in_place) {
-            microkernel(Ap, B + p0 * ldb + j0, ldb, kc, acc);
-          } else {
-            microkernel(Ap, Bp + (jp - in_place) * kc * kNR, kNR, kc, acc);
-          }
-          const std::size_t jn = std::min(kNR, n - j0);
-          for (std::size_t r = 0; r < mr; ++r) {
-            float* crow = C + (i0 + r) * n + j0;
-            for (std::size_t jr = 0; jr < jn; ++jr) crow[jr] += acc[r][jr];
-          }
+          add_tile(acc, std::min(kMR, m - i0), std::min(kNR, n - j0), C, n,
+                   i0, j0);
         }
       }
     });

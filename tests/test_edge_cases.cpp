@@ -1,6 +1,10 @@
 // Edge-case and error-path coverage across modules.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include "comm/runtime.hpp"
 #include "core/machine_builder.hpp"
 #include "core/module.hpp"
@@ -8,6 +12,7 @@
 #include "nn/layers_basic.hpp"
 #include "nn/models.hpp"
 #include "nn/optimizer.hpp"
+#include "par/pool.hpp"
 #include "tensor/ops.hpp"
 
 namespace {
@@ -192,6 +197,108 @@ TEST(OptimizerEdge, NesterovDiffersFromPlainMomentum) {
   }
   EXPECT_NE(p1[0], p2[0]);
   EXPECT_LT(p2[0], p1[0]);  // Nesterov looks ahead, moves further downhill
+}
+
+// Adam's element update as a plain scalar loop over one tensor: the
+// reference for the library's sweeps, which must give the same bits.
+void adam_reference(float* p, const float* g, float* m, float* v,
+                    std::size_t n, float lr, float b1, float b2, float wd,
+                    float eps) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const float grad = g[j] + wd * p[j];
+    m[j] = b1 * m[j] + (1.0f - b1) * grad;
+    v[j] = b2 * v[j] + (1.0f - b2) * grad * grad;
+    p[j] -= lr * m[j] / (std::sqrt(v[j]) + eps);
+  }
+}
+
+TEST(Optimizer, AdamFlatMatchesScalarReference) {
+  // step_flat over one slab and the list step() over per-tensor buffers
+  // must both equal the scalar reference bit for bit, parameters and
+  // moments, over sizes around the vector width and across the 2^14
+  // element parallel chunk, with weight decay, for 1 and 8 pool threads.
+  const std::vector<std::size_t> sizes = {1, 15, 17, 16384 + 3};
+  std::size_t total = 0;
+  for (const std::size_t s : sizes) total += s;
+  constexpr double kLr = 1e-2, kB1 = 0.9, kB2 = 0.999, kEps = 1e-8, kWd = 0.05;
+  constexpr int kSteps = 5;
+  const std::size_t saved = msa::par::num_threads();
+  for (const std::size_t threads : {1, 8}) {
+    msa::par::set_num_threads(threads);
+    Rng rng(31);
+    const Tensor p0 = Tensor::randn({total}, rng);
+    std::vector<Tensor> gs;
+    for (int t = 0; t < kSteps; ++t) gs.push_back(Tensor::randn({total}, rng));
+
+    // Reference: per element, with the step's bias-corrected rate.
+    Tensor ref_p = p0;
+    std::vector<float> ref_m(total, 0.0f), ref_v(total, 0.0f);
+    for (int t = 1; t <= kSteps; ++t) {
+      const double bc1 = 1.0 - std::pow(kB1, static_cast<double>(t));
+      const double bc2 = 1.0 - std::pow(kB2, static_cast<double>(t));
+      adam_reference(ref_p.data(), gs[t - 1].data(), ref_m.data(),
+                     ref_v.data(), total,
+                     static_cast<float>(kLr * std::sqrt(bc2) / bc1),
+                     static_cast<float>(kB1), static_cast<float>(kB2),
+                     static_cast<float>(kWd), static_cast<float>(kEps));
+    }
+
+    // Flat: one slab of parameters, one [m | v] state slab.
+    Tensor flat_p = p0;
+    std::vector<float> flat_state(2 * total, 0.0f);
+    msa::nn::Adam flat(kLr, kB1, kB2, kEps, kWd);
+    flat.materialize_state({&flat_p});
+    for (int t = 0; t < kSteps; ++t) {
+      Tensor g = gs[t];
+      ASSERT_TRUE(flat.step_flat({flat_p.data(), total}, {g.data(), total},
+                                 flat_state));
+    }
+    ASSERT_EQ(0, std::memcmp(flat_p.data(), ref_p.data(),
+                             total * sizeof(float)))
+        << "threads=" << threads;
+    ASSERT_EQ(0, std::memcmp(flat_state.data(), ref_m.data(),
+                             total * sizeof(float)));
+    ASSERT_EQ(0, std::memcmp(flat_state.data() + total, ref_v.data(),
+                             total * sizeof(float)));
+
+    // List: one tensor per size, state in the optimizer's own tensors.
+    std::vector<Tensor> ps, lgs;
+    for (const std::size_t s : sizes) {
+      ps.emplace_back(Tensor({s}));
+      lgs.emplace_back(Tensor({s}));
+    }
+    std::vector<Tensor*> pptr, gptr;
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      pptr.push_back(&ps[i]);
+      gptr.push_back(&lgs[i]);
+    }
+    auto scatter = [&](const Tensor& from, std::vector<Tensor>& to) {
+      std::size_t at = 0;
+      for (Tensor& t : to) {
+        std::memcpy(t.data(), from.data() + at, t.numel() * sizeof(float));
+        at += t.numel();
+      }
+    };
+    scatter(p0, ps);
+    msa::nn::Adam list(kLr, kB1, kB2, kEps, kWd);
+    for (int t = 0; t < kSteps; ++t) {
+      scatter(gs[t], lgs);
+      list.step(pptr, gptr);
+    }
+    const std::vector<Tensor*> state = list.state_tensors();
+    ASSERT_EQ(state.size(), 2 * sizes.size());
+    std::size_t at = 0;
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      const std::size_t bytes = sizes[i] * sizeof(float);
+      EXPECT_EQ(0, std::memcmp(ps[i].data(), ref_p.data() + at, bytes))
+          << "threads=" << threads << " size=" << sizes[i];
+      EXPECT_EQ(0, std::memcmp(state[i]->data(), ref_m.data() + at, bytes));
+      EXPECT_EQ(0, std::memcmp(state[sizes.size() + i]->data(),
+                               ref_v.data() + at, bytes));
+      at += sizes[i];
+    }
+  }
+  msa::par::set_num_threads(saved);
 }
 
 // ---- comm runtime reuse ----------------------------------------------------------

@@ -143,6 +143,78 @@ TEST(TensorPar, SkinnyGemmMatchesTallProductRows) {
   EXPECT_EQ(cases, 1088u);
 }
 
+TEST(TensorPar, SkinnyTransposedGemmMatchesTallProductRows) {
+  // With B transposed, a product of at most two 4-row panels packs each
+  // column panel by register-tile transposes just before the micro-kernel
+  // reads it.  Rows 0..m-1 must match, bit for bit, the tall (m + 12 row)
+  // product of the same A with B transposed up front and read untransposed,
+  // which shares none of the transposing code.  The tall transposed product
+  // (the fully packed path) must match it too.  Covers ragged widths,
+  // depths across the 256-deep block with tails shorter than a tile, padded
+  // row strides, op(A) transposed or not, alpha != 1 and beta = 1.
+  ParGuard guard;
+  constexpr std::size_t kExtraRows = 12;
+  // Below 48^3 multiply-adds gemm_raw takes the scalar kernel instead
+  // (kPackedThreshold in tensor/ops.cpp); only packed shapes compare here.
+  constexpr std::size_t kPackedThreshold = 48 * 48 * 48;
+  std::size_t cases = 0;
+  for (const std::size_t threads : {1, 8}) {
+    msa::par::set_num_threads(threads);
+    for (std::size_t m = 1; m <= 8; ++m) {
+      for (const std::size_t n : {45, 100}) {
+        for (const std::size_t k : {200, 203, 256, 257, 700}) {
+          if (m * n * k <= kPackedThreshold) continue;
+          for (const std::size_t ldb : {k, k + 7}) {
+            for (const bool trans_a : {false, true}) {
+              const std::size_t tall = m + kExtraRows;
+              Rng rng(1000 * m + 10 * n + k + ldb + trans_a);
+              // op(A) is tall x k either way; stored k x tall when
+              // transposed, so the skinny product reads its first m columns.
+              const Tensor a = trans_a ? Tensor::randn({k, tall}, rng)
+                                       : Tensor::randn({tall, k}, rng);
+              const std::size_t lda = trans_a ? tall : k;
+              const Tensor b = Tensor::randn({n, ldb}, rng);
+              Tensor bt({k, n});
+              for (std::size_t p = 0; p < k; ++p) {
+                for (std::size_t j = 0; j < n; ++j) bt.at2(p, j) = b.at2(j, p);
+              }
+              const Tensor c0 = Tensor::randn({tall, n}, rng);
+              for (const float alpha : {1.0f, 0.75f}) {
+                for (const float beta : {0.0f, 1.0f}) {
+                  Tensor skinny({m, n});
+                  std::memcpy(skinny.data(), c0.data(), m * n * sizeof(float));
+                  Tensor packed = c0;
+                  Tensor oracle = c0;
+                  msa::tensor::gemm_raw(trans_a, true, m, n, k, alpha,
+                                        a.data(), lda, b.data(), ldb, beta,
+                                        skinny.data());
+                  msa::tensor::gemm_raw(trans_a, true, tall, n, k, alpha,
+                                        a.data(), lda, b.data(), ldb, beta,
+                                        packed.data());
+                  msa::tensor::gemm_raw(trans_a, false, tall, n, k, alpha,
+                                        a.data(), lda, bt.data(), n, beta,
+                                        oracle.data());
+                  ASSERT_EQ(0, std::memcmp(skinny.data(), oracle.data(),
+                                           m * n * sizeof(float)))
+                      << "threads=" << threads << " m=" << m << " n=" << n
+                      << " k=" << k << " ldb=" << ldb << " trans_a=" << trans_a
+                      << " alpha=" << alpha << " beta=" << beta;
+                  ASSERT_EQ(0, std::memcmp(packed.data(), oracle.data(),
+                                           tall * n * sizeof(float)))
+                      << "tall: threads=" << threads << " m=" << m
+                      << " n=" << n << " k=" << k << " ldb=" << ldb;
+                  ++cases;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 832u);
+}
+
 TEST(TensorPar, TransposeMatchesNaive) {
   ParGuard guard;
   msa::par::set_num_threads(4);
